@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from .env import (
     AgentRole,
@@ -23,7 +23,6 @@ from .env import (
     MitigationAction,
     ObservationSignal,
     PipelineStage,
-    SignalKind,
     VulnerabilityClass,
     observe,
 )
@@ -129,28 +128,9 @@ def _apply_rules(role: AgentRole, signals: list[ObservationSignal],
     return findings
 
 
-def scan_commit(signals, rules=None) -> list[Finding]:
-    return _apply_rules(AgentRole.CODE_ANALYSIS, signals, rules or default_rules())
-
-
-def evaluate_dependency(signals, rules=None) -> list[Finding]:
-    return _apply_rules(AgentRole.DEPENDENCY_INTELLIGENCE, signals, rules or default_rules())
-
-
-def monitor_pipeline(signals, rules=None) -> list[Finding]:
-    return _apply_rules(AgentRole.CICD_MONITORING, signals, rules or default_rules())
-
-
-def check_access(signals, rules=None) -> list[Finding]:
-    return _apply_rules(AgentRole.ACCESS_CONTROL, signals, rules or default_rules())
-
-
-def audit_config(signals, rules=None) -> list[Finding]:
-    return _apply_rules(AgentRole.CONFIGURATION_AUDIT, signals, rules or default_rules())
-
-
 def analyze(role: AgentRole, signals, rules=None) -> list[Finding]:
-    return _apply_rules(role, signals, rules or default_rules())
+    return _apply_rules(role, signals,
+                        rules if rules is not None else default_rules())
 
 
 # -- reasoning ---------------------------------------------------------------

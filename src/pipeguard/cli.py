@@ -20,7 +20,6 @@ from .env import (
     ConfigError,
     ContractViolation,
     EnvConfig,
-    MitigationAction,
     PipelineEnv,
     env_config_from_dict,
     load_scenarios,
@@ -132,40 +131,34 @@ def simulate(scenarios_path, index, policy_path, config_path, seed, out_path):
     if index >= len(suite):
         raise ConfigError(f"scenario index {index} out of range (suite has {len(suite)})")
     scenarios = [] if index < 0 else [suite[index]]
-    options = evaluation.ExperimentOptions(env_config=_env_config(doc))
+    pipeline = PipelineEnv(_env_config(doc))
     if policy_path is not None:
-        stack = evaluation.PolicyStack(learning.load_policy(policy_path))
+        decide = evaluation.PolicyStack(learning.load_policy(policy_path)).decide
     else:
-        stack = None
-    pipeline = PipelineEnv(options.env_config)
-    state = pipeline.reset(scenarios, seed)
-    steps = []
-    prior_alerts = 0
-    while not state.done:
-        if stack is not None:
-            verdict, action, _sev = stack.decide(state, prior_alerts)
-            if verdict is not None:
-                prior_alerts += 1
-        else:
-            verdict, action = None, MitigationAction.ALLOW_CONTINUE
-        transition = pipeline.step(state, action)
-        steps.append({
-            "stage": stage_name(state.stage),
-            "action": action.name,
-            "verdict": verdict.value if verdict else None,
-            "reward": transition.reward,
-            "mitigated": [a.id for a in transition.mitigated],
-            "signals": [
-                {"stage": stage_name(s.stage), "kind": s.kind.value, "content": s.content}
-                for s in state.signals
-            ],
-        })
-        state = transition.next_state
+        def decide(state, prior_alerts):
+            return evaluation.ALLOW
+    steps = list(evaluation.episode_steps(decide, pipeline, scenarios, seed))
+    state = steps[-1].transition.next_state
     trace = {
         "run_id": state.run_id,
         "seed": seed,
         "scenario": scenario_to_dict(scenarios[0]) if scenarios else None,
-        "steps": steps,
+        "steps": [
+            {
+                "stage": stage_name(pre.stage),
+                "action": decision.action.name,
+                "verdict": (decision.verdict.value
+                            if decision.verdict is not None else None),
+                "reward": transition.reward,
+                "mitigated": [a.id for a in transition.mitigated],
+                "signals": [
+                    {"stage": stage_name(s.stage), "kind": s.kind.value,
+                     "content": s.content}
+                    for s in pre.signals
+                ],
+            }
+            for pre, decision, transition in steps
+        ],
         "build_delay": state.build_delay,
         "clock_minutes": state.clock_minutes,
     }

@@ -14,9 +14,9 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .env import (
     MitigationAction,
     PipelineEnv,
     PipelineStage,
+    Transition,
     VulnerabilityClass,
     observe,
     scenario_to_dict,
@@ -251,12 +252,21 @@ def compute_metrics(records: list[EpisodeRecord], arm: BaselineKind,
 # -- per-arm decision stacks ----------------------------------------------------
 
 
+class Decision(NamedTuple):
+    verdict: Optional[VulnerabilityClass]
+    action: MitigationAction
+    severity: float
+
+
+ALLOW = Decision(None, MitigationAction.ALLOW_CONTINUE, 0.0)
+
+
 class DecisionStack:
-    """Maps an environment state to (verdict, action) for one arm."""
+    """Maps an environment state to a Decision for one arm."""
 
     human_gated = False
 
-    def decide(self, state: EnvState, prior_alerts: int) -> tuple[Optional[VulnerabilityClass], MitigationAction, float]:
+    def decide(self, state: EnvState, prior_alerts: int) -> Decision:
         raise NotImplementedError
 
 
@@ -277,8 +287,8 @@ class RuleBasedStack(DecisionStack):
                 if f.confidence >= STRONG_RULE_THRESHOLD and f.confidence > best_conf:
                     best, best_conf = f.hypothesis, f.confidence
         if best is None:
-            return None, MitigationAction.ALLOW_CONTINUE, 0.0
-        return best, FIXED_ACTION_MAP[best], best_conf
+            return ALLOW
+        return Decision(best, FIXED_ACTION_MAP[best], best_conf)
 
 
 # Attack classes whose payload changes artifact bytes; a digest comparison
@@ -299,11 +309,11 @@ class ProvenanceStack(DecisionStack):
 
     def decide(self, state, prior_alerts):
         if state.stage < PipelineStage.ARTIFACT_PACKAGING:
-            return None, MitigationAction.ALLOW_CONTINUE, 0.0
+            return ALLOW
         for attack in state.active_attacks:
             if attack.vuln_class in ARTIFACT_ALTERING:
-                return attack.vuln_class, MitigationAction.BLOCK_BUILD, 1.0
-        return None, MitigationAction.ALLOW_CONTINUE, 0.0
+                return Decision(attack.vuln_class, MitigationAction.BLOCK_BUILD, 1.0)
+        return ALLOW
 
 
 class PolicyStack(DecisionStack):
@@ -322,7 +332,7 @@ class PolicyStack(DecisionStack):
         assessment = trace.assessment
         sid = learning.encode_state(state, assessment, prior_alerts)
         action = MitigationAction(self.policy.greedy(sid))
-        return assessment.verdict, action, assessment.severity
+        return Decision(assessment.verdict, action, assessment.severity)
 
 
 class PlaybookStack(DecisionStack):
@@ -340,15 +350,16 @@ class PlaybookStack(DecisionStack):
         trace = dispatch(self.graph, state, self.reasoner, self.rules)
         assessment = trace.assessment
         if assessment.verdict is not None:
-            return (assessment.verdict,
-                    FIXED_ACTION_MAP[assessment.verdict],
-                    assessment.severity)
+            return Decision(assessment.verdict,
+                            FIXED_ACTION_MAP[assessment.verdict],
+                            assessment.severity)
         # No fused verdict: the static playbook still reacts to any finding.
         findings = [f for _, fs in trace.activations for f in fs]
         if findings:
             top = max(findings, key=lambda f: f.confidence)
-            return top.hypothesis, FIXED_ACTION_MAP[top.hypothesis], top.confidence
-        return None, MitigationAction.ALLOW_CONTINUE, 0.0
+            return Decision(top.hypothesis, FIXED_ACTION_MAP[top.hypothesis],
+                            top.confidence)
+        return ALLOW
 
 
 def _build_stack(arm: BaselineKind, policy: Optional[learning.Policy],
@@ -377,26 +388,43 @@ def _plan_episode(seed: int, index: int, suite: list[AttackScenario],
     return [suite[index % len(suite)]]
 
 
-def run_episode(stack: DecisionStack, scenarios: list[AttackScenario],
-                pipeline: PipelineEnv, ep_seed: int, index: int,
-                options: ExperimentOptions,
-                arm: BaselineKind) -> EpisodeRecord:
+class Step(NamedTuple):
+    pre_state: EnvState
+    decision: Decision
+    transition: Transition
+
+
+def episode_steps(decide: Callable[[EnvState, int], Decision],
+                  pipeline: PipelineEnv, scenarios: list[AttackScenario],
+                  ep_seed: int) -> Iterator[Step]:
+    """Walk one episode: reset, then decide and step until the run is done.
+
+    The episode record, the ledger entries and the simulate trace are all
+    built from the steps it yields, so they describe the same walk.
+    """
     state = pipeline.reset(scenarios, ep_seed)
-    injected_clock = dict(state.injection_clock)
+    prior_alerts = 0
+    while not state.done:
+        decision = decide(state, prior_alerts)
+        if decision.verdict is not None:
+            prior_alerts += 1
+        transition = pipeline.step(state, decision.action)
+        yield Step(state, decision, transition)
+        state = transition.next_state
+
+
+def _episode_record(steps: list[Step], human_gated: bool,
+                    scenarios: list[AttackScenario], pipeline: PipelineEnv,
+                    ep_seed: int, index: int, options: ExperimentOptions,
+                    arm: BaselineKind) -> EpisodeRecord:
+    injected_clock = dict(steps[0].pre_state.injection_clock)
     predicted: set[str] = set()
     mitigations: list[Mitigation] = []
     interventions = 0
     fp_actions = 0
     requested_review = False
     total_return = 0.0
-    prior_alerts = 0
-    steps = 0
-    while not state.done:
-        verdict, action, _severity = stack.decide(state, prior_alerts)
-        if verdict is not None:
-            prior_alerts += 1
-        pre_state = state
-        transition = pipeline.step(state, action)
+    for pre_state, (verdict, action, _severity), transition in steps:
         injected_clock.update(dict(transition.next_state.injection_clock))
         total_return += transition.reward
         if action is not MitigationAction.ALLOW_CONTINUE:
@@ -408,26 +436,22 @@ def run_episode(stack: DecisionStack, scenarios: list[AttackScenario],
         if action is MitigationAction.REQUEST_REVIEW:
             requested_review = True
         for attack in transition.mitigated:
-            autonomous = (not stack.human_gated
-                          and action is not MitigationAction.REQUEST_REVIEW
-                          and not requested_review)
             mitigations.append(Mitigation(
                 attack_id=attack.id,
                 vuln_class=attack.vuln_class.value,
                 injected_clock=injected_clock.get(attack.id, 0.0),
                 mitigated_clock=pre_state.clock_minutes,
                 action=action.name,
-                autonomous=autonomous,
+                autonomous=(not human_gated
+                            and action is not MitigationAction.REQUEST_REVIEW
+                            and not requested_review),
                 rollback_ok=pipeline.rollback_succeeds(
                     pre_state, transition.next_state, action),
                 developer_accepted=transition.outcome.developer_accepted,
             ))
-        state = transition.next_state
-        steps += 1
+    final = steps[-1].transition.next_state
     benign = not scenarios
     analysis_cost = options.analysis_cost.get(arm, 0.0)
-    duration = state.clock_minutes + analysis_cost * steps
-    undefended = steps * options.env_config.step_minutes if benign else 0.0
     return EpisodeRecord(
         index=index,
         seed=ep_seed,
@@ -440,9 +464,10 @@ def run_episode(stack: DecisionStack, scenarios: list[AttackScenario],
         false_positive_actions=fp_actions,
         requested_review=requested_review,
         total_return=total_return,
-        build_delay=state.build_delay,
-        duration_minutes=duration,
-        undefended_minutes=undefended,
+        build_delay=final.build_delay,
+        duration_minutes=final.clock_minutes + analysis_cost * len(steps),
+        undefended_minutes=(len(steps) * options.env_config.step_minutes
+                            if benign else 0.0),
     )
 
 
@@ -470,6 +495,24 @@ def _signals_digest(state: EnvState) -> bytes:
     return hashlib.sha256(doc.encode()).digest()
 
 
+def _ledger_entries(steps: list[Step],
+                    global_clock: float) -> list[ledger_mod.LedgerEntry]:
+    """One ledger entry per decision of an episode."""
+    return [
+        ledger_mod.LedgerEntry(
+            agent_id="mitigation-controller",
+            role=AgentRole.CICD_MONITORING,
+            signals_digest=_signals_digest(pre_state),
+            reasoning_summary=(f"{verdict.value} severity {severity:.3f}"
+                               if verdict is not None else "benign"),
+            action=action,
+            outcome=transition.outcome,
+            timestamp=int(global_clock + pre_state.clock_minutes),
+        )
+        for pre_state, (verdict, action, severity), transition in steps
+    ]
+
+
 def run_experiment(
     arm: BaselineKind,
     suite: list[AttackScenario],
@@ -492,100 +535,22 @@ def run_experiment(
     for i in range(options.episodes):
         scenarios = _plan_episode(seed, i, suite, options.benign_fraction)
         ep_seed = episode_seed(seed, i)
+        steps = list(episode_steps(stack.decide, pipeline, scenarios, ep_seed))
+        record = _episode_record(steps, stack.human_gated, scenarios, pipeline,
+                                 ep_seed, i, options, arm)
         if artifacts is not None:
-            record, entries = _run_episode_with_ledger(
-                stack, scenarios, pipeline, ep_seed, i, options, arm, global_clock)
+            entries = _ledger_entries(steps, global_clock)
             ledger_mod.append_block(
                 artifacts.chain, entries, artifacts.validators.ids()[0],
                 artifacts.validators, artifacts.signing_keys, artifacts.acl,
                 timestamp=int(global_clock + record.duration_minutes),
             )
             artifacts.entries_written += len(entries)
-        else:
-            record = run_episode(stack, scenarios, pipeline, ep_seed, i,
-                                 options, arm)
         global_clock += record.duration_minutes
         records.append(record)
     latency = options.arm_latency.get(arm, 0.0)
     report = compute_metrics(records, arm, seed, digest, latency)
     return report, records, artifacts
-
-
-def _run_episode_with_ledger(stack, scenarios, pipeline, ep_seed, index,
-                             options, arm, global_clock):
-    """Episode loop that also emits one ledger entry per decision."""
-    state = pipeline.reset(scenarios, ep_seed)
-    entries: list[ledger_mod.LedgerEntry] = []
-    injected_clock = dict(state.injection_clock)
-    predicted: set[str] = set()
-    mitigations: list[Mitigation] = []
-    interventions = 0
-    fp_actions = 0
-    requested_review = False
-    total_return = 0.0
-    prior_alerts = 0
-    steps = 0
-    while not state.done:
-        verdict, action, severity = stack.decide(state, prior_alerts)
-        if verdict is not None:
-            prior_alerts += 1
-        pre_state = state
-        transition = pipeline.step(state, action)
-        injected_clock.update(dict(transition.next_state.injection_clock))
-        total_return += transition.reward
-        summary = (f"{verdict.value} severity {severity:.3f}"
-                   if verdict is not None else "benign")
-        entries.append(ledger_mod.LedgerEntry(
-            agent_id="mitigation-controller",
-            role=AgentRole.CICD_MONITORING,
-            signals_digest=_signals_digest(pre_state),
-            reasoning_summary=summary,
-            action=action,
-            outcome=transition.outcome,
-            timestamp=int(global_clock + pre_state.clock_minutes),
-        ))
-        if action is not MitigationAction.ALLOW_CONTINUE:
-            interventions += 1
-            if transition.outcome.false_positive:
-                fp_actions += 1
-            if verdict is not None:
-                predicted.add(verdict.value)
-        if action is MitigationAction.REQUEST_REVIEW:
-            requested_review = True
-        for attack in transition.mitigated:
-            mitigations.append(Mitigation(
-                attack_id=attack.id,
-                vuln_class=attack.vuln_class.value,
-                injected_clock=injected_clock.get(attack.id, 0.0),
-                mitigated_clock=pre_state.clock_minutes,
-                action=action.name,
-                autonomous=(action is not MitigationAction.REQUEST_REVIEW
-                            and not requested_review),
-                rollback_ok=pipeline.rollback_succeeds(
-                    pre_state, transition.next_state, action),
-                developer_accepted=transition.outcome.developer_accepted,
-            ))
-        state = transition.next_state
-        steps += 1
-    benign = not scenarios
-    analysis_cost = options.analysis_cost.get(arm, 0.0)
-    record = EpisodeRecord(
-        index=index,
-        seed=ep_seed,
-        benign=benign,
-        scenario=scenario_to_dict(scenarios[0]) if scenarios else None,
-        predicted_classes=sorted(predicted),
-        actual_classes=sorted({s.vuln_class.value for s in scenarios}),
-        mitigations=mitigations,
-        interventions=interventions,
-        false_positive_actions=fp_actions,
-        requested_review=requested_review,
-        total_return=total_return,
-        build_delay=state.build_delay,
-        duration_minutes=state.clock_minutes + analysis_cost * steps,
-        undefended_minutes=steps * options.env_config.step_minutes if benign else 0.0,
-    )
-    return record, entries
 
 
 # -- training against the simulated pipeline -------------------------------------
@@ -670,20 +635,18 @@ def ablation(
     base_options = options or ExperimentOptions()
     baseline, base_records, _ = run_experiment(
         BaselineKind.PROPOSED, suite, seed, policy, base_options)
-    ablated_options = ExperimentOptions(
-        episodes=base_options.episodes,
-        benign_fraction=base_options.benign_fraction,
-        arm_latency=dict(base_options.arm_latency),
-        analysis_cost=dict(base_options.analysis_cost),
-        env_config=base_options.env_config,
+    arm_latency = base_options.arm_latency
+    if "rl" in disable:
+        # A new dict: replace() below shares the caller's.
+        arm_latency = {**arm_latency,
+                       BaselineKind.PROPOSED: base_options.playbook_latency}
+    ablated_options = replace(
+        base_options,
+        arm_latency=arm_latency,
         ledger_enabled=base_options.ledger_enabled and "ledger" not in disable,
         reasoner_correlation="reasoner" not in disable,
         use_policy="rl" not in disable,
-        playbook_latency=base_options.playbook_latency,
     )
-    if "rl" in disable:
-        ablated_options.arm_latency[BaselineKind.PROPOSED] = \
-            base_options.playbook_latency
     ablated, abl_records, _ = run_experiment(
         BaselineKind.PROPOSED, suite, seed, policy, ablated_options)
     deltas = {}

@@ -19,7 +19,6 @@ from pipeguard.agents import (
     full_sweep_graph,
     noisy_or,
     rules_from_list,
-    scan_commit,
 )
 from pipeguard.env import (
     AgentRole,
@@ -47,20 +46,26 @@ def finding(cls=VulnerabilityClass.INJECTION, conf=0.8,
 
 class TestAgents:
     def test_rule_match_is_token_exact(self):
-        out = scan_commit([sig("uses exec_untrusted_input here")])
+        out = analyze(AgentRole.CODE_ANALYSIS, [sig("uses exec_untrusted_input here")])
         assert len(out) == 1
         assert out[0].hypothesis is VulnerabilityClass.INJECTION
         assert out[0].confidence == 0.9
         # substring of a larger token must not match
-        assert scan_commit([sig("exec_untrusted_inputs")]) == []
+        assert analyze(AgentRole.CODE_ANALYSIS, [sig("exec_untrusted_inputs")]) == []
 
     def test_wrong_signal_kind_violates_contract(self):
         with pytest.raises(ContractViolation):
-            scan_commit([sig("x", kind=SignalKind.SBOM_ENTRY)])
+            analyze(AgentRole.CODE_ANALYSIS, [sig("x", kind=SignalKind.SBOM_ENTRY)])
 
     def test_one_finding_per_rule_signal_pair(self):
-        out = scan_commit([sig("exec_untrusted_input exec_untrusted_input")])
+        out = analyze(AgentRole.CODE_ANALYSIS,
+                      [sig("exec_untrusted_input exec_untrusted_input")])
         assert len(out) == 1
+
+    def test_explicit_empty_rule_list_finds_nothing(self):
+        signals = [sig("uses exec_untrusted_input here")]
+        assert analyze(AgentRole.CODE_ANALYSIS, signals)
+        assert analyze(AgentRole.CODE_ANALYSIS, signals, rules=[]) == []
 
     def test_unknown_rule_field_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,21 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         trace = json.loads(result.output)
         assert any(step["mitigated"] for step in trace["steps"])
+
+    @pytest.mark.parametrize("index, with_policy, digest", [
+        ("-1", False,
+         "9f6c030dadf12943b720f924865da0567064ac38bd6d7d5be908dca400775b6e"),
+        ("0", True,
+         "9edf9146763d667e042f99e59e8de1670aaf1f42ecd913bf2266a68f98b563a3"),
+    ], ids=["benign", "policy"])
+    def test_trace_output_is_pinned(self, runner, policy_file, index,
+                                    with_policy, digest):
+        args = ["simulate", "--index", index, "--seed", "4"]
+        if with_policy:
+            args += ["--policy", policy_file]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     def test_out_of_range_index_is_config_error(self, runner):
         result = runner.invoke(main, ["simulate", "--index", "999"])

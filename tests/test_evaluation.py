@@ -199,6 +199,16 @@ class TestArms:
         assert [blk.hash() for blk in a[2].chain] == \
             [blk.hash() for blk in b[2].chain]
 
+    def test_ledger_leaves_report_and_records_unchanged(self, suite,
+                                                        proposed_policy):
+        on = run_experiment(BaselineKind.PROPOSED, suite, 3, proposed_policy,
+                            ExperimentOptions(episodes=40))
+        off = run_experiment(BaselineKind.PROPOSED, suite, 3, proposed_policy,
+                             ExperimentOptions(episodes=40, ledger_enabled=False))
+        assert on[2] is not None and off[2] is None
+        assert on[0] == off[0]
+        assert on[1] == off[1]
+
 
 class TestAblation:
     def test_unknown_target_rejected(self, suite, proposed_policy):
@@ -222,6 +232,12 @@ class TestAblation:
         result = ablation(suite, 3, proposed_policy, {"rl"}, options)
         assert result["false_positive_actions_delta"] > 0
         assert result["mttm_delta"] > 0
+
+    def test_rl_off_leaves_caller_options_unchanged(self, suite, proposed_policy):
+        options = ExperimentOptions(episodes=10)
+        before = dict(options.arm_latency)
+        ablation(suite, 3, proposed_policy, {"rl"}, options)
+        assert options.arm_latency == before
 
 
 class TestCompare:
