@@ -24,6 +24,7 @@ from .env import (
     ObservationSignal,
     PipelineStage,
     VulnerabilityClass,
+    check_fields,
     observe,
 )
 
@@ -78,24 +79,17 @@ class Rule:
     confidence: float
 
 
-def load_rules(path: str) -> list[Rule]:
-    with open(path, encoding="utf-8") as fh:
-        return rules_from_list(json.load(fh))
+_ROLE_NAMES = {role.value for role in AgentRole}
+_CLASS_NAMES = {vc.value for vc in VulnerabilityClass}
+_RULE_FIELDS = {"role": _ROLE_NAMES, "token": str, "class": _CLASS_NAMES, "confidence": float}
 
 
 def rules_from_list(items: list[dict]) -> list[Rule]:
-    rules = []
     for obj in items:
-        unknown = set(obj) - {"role", "token", "class", "confidence"}
-        if unknown:
-            raise ConfigError(f"unknown rule fields: {sorted(unknown)}")
-        rules.append(Rule(
-            role=AgentRole(obj["role"]),
-            token=str(obj["token"]),
-            vuln_class=VulnerabilityClass(obj["class"]),
-            confidence=float(obj["confidence"]),
-        ))
-    return rules
+        check_fields(obj, _RULE_FIELDS, "rule", required=_RULE_FIELDS)
+    return [Rule(role=AgentRole(obj["role"]), token=obj["token"],
+                 vuln_class=VulnerabilityClass(obj["class"]), confidence=obj["confidence"])
+            for obj in items]
 
 
 def default_rules() -> list[Rule]:
@@ -285,27 +279,28 @@ class ExecutionGraph:
         raise KeyError(node_id)
 
 
+_GRAPH_FIELDS = {"entry": str, "max_visits_per_node": int, "nodes": list, "edges": list}
+_NODE_FIELDS = {"id": str, "type": {"agent", "decision"}, "role": _ROLE_NAMES}
+_EDGE_FIELDS = {"from": str, "to": str, "guard": dict}
+_GUARD_FIELDS = {"class": _CLASS_NAMES, "min_confidence": float, "min_count": int}
+
+
 def build_graph(spec: dict) -> ExecutionGraph:
     """Validate a graph description into an ExecutionGraph."""
-    try:
-        nodes = tuple(
-            GraphNode(
-                id=str(n["id"]),
-                kind=str(n["type"]),
-                role=AgentRole(n["role"]) if n.get("role") else None,
-            )
-            for n in spec["nodes"]
-        )
-        entry = str(spec["entry"])
-        max_visits = int(spec.get("max_visits_per_node", 1))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"malformed graph spec: {exc}") from exc
+    check_fields(spec, _GRAPH_FIELDS, "graph", required=("entry", "nodes"))
+    for n in spec["nodes"]:
+        check_fields(n, _NODE_FIELDS, "graph node", required=("id", "type"))
+    nodes = tuple(
+        GraphNode(id=n["id"], kind=n["type"],
+                  role=AgentRole(n["role"]) if "role" in n else None)
+        for n in spec["nodes"]
+    )
+    entry = spec["entry"]
+    max_visits = spec.get("max_visits_per_node", 1)
     ids = {n.id for n in nodes}
     if len(ids) != len(nodes):
         raise ConfigError("duplicate node ids in graph spec")
     for n in nodes:
-        if n.kind not in ("agent", "decision"):
-            raise ConfigError(f"node {n.id}: unknown type {n.kind!r}")
         if n.kind == "agent" and n.role is None:
             raise ConfigError(f"agent node {n.id} is missing a role")
     if entry not in ids:
@@ -314,7 +309,8 @@ def build_graph(spec: dict) -> ExecutionGraph:
         raise ConfigError("max_visits_per_node must be positive")
     edges = []
     for e in spec.get("edges", []):
-        src, dst = str(e["from"]), str(e["to"])
+        check_fields(e, _EDGE_FIELDS, "graph edge", required=("from", "to"))
+        src, dst = e["from"], e["to"]
         for endpoint in (src, dst):
             if endpoint not in ids:
                 raise ConfigError(f"edge references unknown node {endpoint!r}")
@@ -322,18 +318,14 @@ def build_graph(spec: dict) -> ExecutionGraph:
         if g is None:
             guard = ALWAYS
         else:
+            check_fields(g, _GUARD_FIELDS, "graph guard")
             guard = Guard(
-                vuln_class=VulnerabilityClass(g["class"]) if g.get("class") else None,
-                min_confidence=float(g.get("min_confidence", 0.0)),
-                min_count=int(g.get("min_count", 1)),
+                vuln_class=VulnerabilityClass(g["class"]) if "class" in g else None,
+                min_confidence=g.get("min_confidence", 0.0),
+                min_count=g.get("min_count", 1),
             )
         edges.append(GraphEdge(src, dst, guard))
     return ExecutionGraph(nodes, tuple(edges), entry, max_visits)
-
-
-def load_graph(path: str) -> ExecutionGraph:
-    with open(path, encoding="utf-8") as fh:
-        return build_graph(json.load(fh))
 
 
 def _packaged_graph(name: str) -> ExecutionGraph:

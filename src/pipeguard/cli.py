@@ -19,8 +19,8 @@ from . import evaluation, learning, ledger as ledger_mod, protocol
 from .env import (
     ConfigError,
     ContractViolation,
-    EnvConfig,
     PipelineEnv,
+    check_fields,
     env_config_from_dict,
     load_scenarios,
     scenario_to_dict,
@@ -43,7 +43,7 @@ def handles_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+        except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             _fail(EXIT_CONFIG, str(exc))
         except ContractViolation as exc:
             _fail(EXIT_CONTRACT, str(exc))
@@ -58,22 +58,22 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(doc) - {"env", "train", "evaluate"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    check_fields(doc, dict.fromkeys(("env", "train", "evaluate"), dict), "config file")
     return doc
-
-
-def _env_config(doc: dict) -> EnvConfig:
-    return env_config_from_dict(doc.get("env", {}))
 
 
 def _load_suite(path: str | None):
     if path is None:
         return evaluation.calibration_suite()
     return load_scenarios(path)
+
+
+def _run_scenarios(suite: list, index: int) -> list:
+    """The scenarios of the run --index selects: one, or none for -1."""
+    if not -1 <= index < len(suite):
+        raise ConfigError(f"scenario index {index} out of range "
+                          f"(suite has {len(suite)}; -1 runs benign)")
+    return [] if index == -1 else [suite[index]]
 
 
 def _write_json(path: Path, doc) -> None:
@@ -84,20 +84,11 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _experiment_options(doc: dict, episodes: int | None) -> evaluation.ExperimentOptions:
-    section = dict(doc.get("evaluate", {}))
-    unknown = set(section) - {"episodes", "benign_fraction", "ledger_enabled",
-                              "playbook_latency"}
-    if unknown:
-        raise ConfigError(f"unknown evaluate config fields: {sorted(unknown)}")
-    options = evaluation.ExperimentOptions(env_config=_env_config(doc))
-    if "episodes" in section:
-        options.episodes = int(section["episodes"])
-    if "benign_fraction" in section:
-        options.benign_fraction = float(section["benign_fraction"])
-    if "ledger_enabled" in section:
-        options.ledger_enabled = bool(section["ledger_enabled"])
-    if "playbook_latency" in section:
-        options.playbook_latency = float(section["playbook_latency"])
+    section = doc.get("evaluate", {})
+    check_fields(section, {"episodes": int, "benign_fraction": float, "ledger_enabled": bool,
+                           "playbook_latency": float}, "evaluate config")
+    options = evaluation.ExperimentOptions(
+        env_config=env_config_from_dict(doc.get("env", {})), **section)
     if episodes is not None:
         options.episodes = episodes
     if options.episodes < 1:
@@ -127,11 +118,8 @@ def main():
 def simulate(scenarios_path, index, policy_path, config_path, seed, out_path):
     """Run one pipeline episode and print its trace."""
     doc = _load_config(config_path)
-    suite = _load_suite(scenarios_path)
-    if index >= len(suite):
-        raise ConfigError(f"scenario index {index} out of range (suite has {len(suite)})")
-    scenarios = [] if index < 0 else [suite[index]]
-    pipeline = PipelineEnv(_env_config(doc))
+    scenarios = _run_scenarios(_load_suite(scenarios_path), index)
+    pipeline = PipelineEnv(env_config_from_dict(doc.get("env", {})))
     if policy_path is not None:
         decide = evaluation.PolicyStack(learning.load_policy(policy_path)).decide
     else:
@@ -191,7 +179,7 @@ def train(suite_path, algorithm, episodes, learning_rate, no_correlation,
     train_doc.setdefault("seed", seed)
     config = learning.TrainConfig.from_dict(train_doc)
     policy = evaluation.train_mitigation_policy(
-        suite, config, env_config=_env_config(doc),
+        suite, config, env_config=env_config_from_dict(doc.get("env", {})),
         correlation=not no_correlation,
     )
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
@@ -323,10 +311,7 @@ def protocol_replay(frames_path, scenarios_path, index, seed, out_path):
 
     The run is registered under the alias "demo" as well as its own id.
     """
-    suite = _load_suite(scenarios_path)
-    if index >= len(suite):
-        raise ConfigError(f"scenario index {index} out of range (suite has {len(suite)})")
-    scenarios = [] if index < 0 else [suite[index]]
+    scenarios = _run_scenarios(_load_suite(scenarios_path), index)
     env = PipelineEnv()
     state = env.reset(scenarios, seed)
     connector = protocol.SimulatedConnector()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from typing import Optional
@@ -86,6 +87,48 @@ class ConfigError(Exception):
     """Invalid scenario or environment configuration."""
 
 
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def check_value(value, kind, name: str) -> None:
+    """Raise ConfigError unless a JSON value has `kind` (see check_fields)."""
+    if isinstance(kind, list):
+        check_value(value, list, name)
+        for i, item in enumerate(value):
+            check_value(item, kind[0], f"{name}[{i}]")
+        return
+    if isinstance(kind, set):
+        ok = isinstance(value, str) and value in kind
+    elif isinstance(value, bool) or kind is bool:
+        ok = type(value) is kind
+    elif kind is float:
+        # NaN compares false; so does an int too large for a float.
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        expected = f"one of {sorted(kind)}" if isinstance(kind, set) else _KIND_NAMES[kind]
+        raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)[:40]}")
+
+
+def check_fields(obj, spec: dict, what: str, required=()) -> None:
+    """Raise ConfigError unless `obj` is a JSON object with every key in
+    `required`, no key outside `spec`, and each value of the kind `spec` gives
+    its key: bool, int, float, str, list or dict; a set of allowed strings; or
+    ``[kind]``, a list whose items all have that kind. A bool is not a number,
+    an int passes where a float is expected, and floats must be finite."""
+    check_value(obj, dict, what)
+    unknown = set(obj) - set(spec)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise ConfigError(f"missing {what} fields: {sorted(missing)}")
+    for key, value in obj.items():
+        check_value(value, spec[key], f"{what} field {key}")
+
+
 @dataclass(frozen=True)
 class AttackScenario:
     id: str
@@ -108,25 +151,20 @@ class AttackScenario:
 
 
 _SCENARIO_FIELDS = {
-    "id", "class", "stage", "payload",
-    "syntactic_detectable", "semantic_detectable", "severity",
+    "id": str, "class": {vc.value for vc in VulnerabilityClass}, "stage": str, "payload": [str],
+    "syntactic_detectable": bool, "semantic_detectable": bool, "severity": float,
 }
 
 
 def scenario_from_dict(obj: dict) -> AttackScenario:
-    unknown = set(obj) - _SCENARIO_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    missing = _SCENARIO_FIELDS - set(obj)
-    if missing:
-        raise ConfigError(f"missing scenario fields: {sorted(missing)}")
+    check_fields(obj, _SCENARIO_FIELDS, "scenario", required=_SCENARIO_FIELDS)
     scenario = AttackScenario(
-        id=str(obj["id"]),
+        id=obj["id"],
         vuln_class=VulnerabilityClass(obj["class"]),
         stage=PipelineStage[_stage_key(obj["stage"])],
-        payload=tuple(str(t) for t in obj["payload"]),
-        syntactic_detectable=bool(obj["syntactic_detectable"]),
-        semantic_detectable=bool(obj["semantic_detectable"]),
+        payload=tuple(obj["payload"]),
+        syntactic_detectable=obj["syntactic_detectable"],
+        semantic_detectable=obj["semantic_detectable"],
         severity=float(obj["severity"]),
     )
     scenario.validate()
@@ -169,8 +207,7 @@ def stage_name(stage: PipelineStage) -> str:
 def load_scenarios(path: str) -> list[AttackScenario]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, list):
-        raise ConfigError("scenario corpus must be a JSON array")
+    check_value(data, list, "scenario file")
     scenarios = [scenario_from_dict(obj) for obj in data]
     seen: set[str] = set()
     for s in scenarios:
@@ -337,23 +374,33 @@ class EnvConfig:
 
 
 _ENV_CONFIG_FIELDS = {
-    "reward", "max_steps_per_stage", "step_minutes", "require_attacks",
-    "allow_multiple_attacks", "decoy_probability", "decoys_only_benign",
-    "delays", "acceptance",
+    "reward": dict, "max_steps_per_stage": int, "step_minutes": float, "require_attacks": bool,
+    "allow_multiple_attacks": bool, "decoy_probability": float, "decoys_only_benign": bool,
+    "delays": dict, "acceptance": dict,
 }
+_REWARD_FIELDS = dict.fromkeys(RewardParams.__dataclass_fields__, float)
+_PER_ACTION_FIELDS = dict.fromkeys((a.name for a in MitigationAction), float)
 
 
 def env_config_from_dict(obj: dict) -> EnvConfig:
-    unknown = set(obj) - _ENV_CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown environment config fields: {sorted(unknown)}")
-    kwargs = dict(obj)
-    if "reward" in kwargs:
-        kwargs["reward"] = RewardParams(**kwargs["reward"])
-    cfg = EnvConfig(**kwargs)
+    check_fields(obj, _ENV_CONFIG_FIELDS, "environment config")
+    check_fields(obj.get("reward", {}), _REWARD_FIELDS, "reward")
+    for name in ("delays", "acceptance"):
+        check_fields(obj.get(name, {}), _PER_ACTION_FIELDS, name)
+    cfg = EnvConfig(**{**obj, "reward": RewardParams(**obj.get("reward", {}))})
     cfg.reward.validate()
     if cfg.max_steps_per_stage < 1:
         raise ConfigError("max_steps_per_stage must be >= 1")
+    if cfg.step_minutes < 0:
+        raise ConfigError("step_minutes must be >= 0")
+    if not 0.0 <= cfg.decoy_probability <= 1.0:
+        raise ConfigError("decoy_probability must be in [0, 1]")
+    for name, minutes in cfg.delays.items():
+        if minutes < 0:
+            raise ConfigError(f"delays {name} must be >= 0")
+    for name, p in cfg.acceptance.items():
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"acceptance {name} must be in [0, 1]")
     return cfg
 
 

@@ -103,14 +103,12 @@ def suite_hash(suite: list[AttackScenario]) -> str:
 class ExperimentOptions:
     episodes: int = 200
     benign_fraction: float = 0.25
-    arm_latency: dict = field(default_factory=lambda: dict(DEFAULT_ARM_LATENCY))
-    analysis_cost: dict = field(default_factory=lambda: dict(DEFAULT_ANALYSIS_COST))
     env_config: EnvConfig = field(default_factory=EnvConfig)
     ledger_enabled: bool = True
     # Ablation hooks: disable fused cross-stage reasoning / the learned policy.
     reasoner_correlation: bool = True
     use_policy: bool = True
-    # Confirmation delay for the static playbook used when RL is disabled.
+    # Proposed's arm latency when RL is disabled and a static playbook acts.
     playbook_latency: float = 10.0
 
 
@@ -276,8 +274,8 @@ class RuleBasedStack(DecisionStack):
 
     human_gated = True
 
-    def __init__(self, rules=None):
-        self.rules = rules if rules is not None else default_rules()
+    def __init__(self):
+        self.rules = default_rules()
 
     def decide(self, state, prior_alerts):
         best = None
@@ -320,12 +318,18 @@ class PolicyStack(DecisionStack):
     """Dispatch through the execution graph, fuse findings, act greedily from
     a trained policy."""
 
-    def __init__(self, policy: learning.Policy, correlation: bool = True,
-                 rules=None, graph=None):
+    def __init__(self, policy: learning.Policy, correlation: bool = True):
+        # A policy fits only the state and action spaces it was trained on.
+        expected = (DefenseEpisodeEnv.n_states, DefenseEpisodeEnv.n_actions)
+        if policy.params.shape != expected:
+            raise ConfigError(f"policy params have shape {policy.params.shape}, "
+                              f"expected {expected}")
+        if policy.actions != DefenseEpisodeEnv.action_labels:
+            raise ConfigError(f"policy actions must be {list(DefenseEpisodeEnv.action_labels)}")
         self.policy = policy
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.rules = rules if rules is not None else default_rules()
-        self.graph = graph if graph is not None else full_sweep_graph()
+        self.rules = default_rules()
+        self.graph = full_sweep_graph()
 
     def decide(self, state, prior_alerts):
         trace = dispatch(self.graph, state, self.reasoner, self.rules)
@@ -341,10 +345,10 @@ class PlaybookStack(DecisionStack):
 
     human_gated = False
 
-    def __init__(self, correlation: bool = True, rules=None, graph=None):
+    def __init__(self, correlation: bool = True):
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.rules = rules if rules is not None else default_rules()
-        self.graph = graph if graph is not None else full_sweep_graph()
+        self.rules = default_rules()
+        self.graph = full_sweep_graph()
 
     def decide(self, state, prior_alerts):
         trace = dispatch(self.graph, state, self.reasoner, self.rules)
@@ -451,7 +455,7 @@ def _episode_record(steps: list[Step], human_gated: bool,
             ))
     final = steps[-1].transition.next_state
     benign = not scenarios
-    analysis_cost = options.analysis_cost.get(arm, 0.0)
+    analysis_cost = DEFAULT_ANALYSIS_COST[arm]
     return EpisodeRecord(
         index=index,
         seed=ep_seed,
@@ -548,7 +552,8 @@ def run_experiment(
             artifacts.entries_written += len(entries)
         global_clock += record.duration_minutes
         records.append(record)
-    latency = options.arm_latency.get(arm, 0.0)
+    playbook = arm is BaselineKind.PROPOSED and not options.use_policy
+    latency = options.playbook_latency if playbook else DEFAULT_ARM_LATENCY[arm]
     report = compute_metrics(records, arm, seed, digest, latency)
     return report, records, artifacts
 
@@ -566,15 +571,13 @@ class DefenseEpisodeEnv:
 
     def __init__(self, suite: list[AttackScenario], seed: int,
                  env_config: Optional[EnvConfig] = None,
-                 correlation: bool = True,
-                 benign_fraction: float = 0.25):
+                 correlation: bool = True):
         self.suite = suite
         self.seed = seed
         self.pipeline = PipelineEnv(env_config or EnvConfig())
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
         self.rules = default_rules()
         self.graph = full_sweep_graph()
-        self.benign_fraction = benign_fraction
         self._episode = 0
         self._state: Optional[EnvState] = None
         self._prior_alerts = 0
@@ -589,7 +592,7 @@ class DefenseEpisodeEnv:
         index = self._episode
         self._episode += 1
         scenarios = _plan_episode(self.seed, index, self.suite,
-                                  self.benign_fraction)
+                                  ExperimentOptions.benign_fraction)
         self._state = self.pipeline.reset(scenarios, episode_seed(self.seed, index))
         self._prior_alerts = 0
         return self._encode()
@@ -610,11 +613,9 @@ def train_mitigation_policy(
     config: learning.TrainConfig,
     env_config: Optional[EnvConfig] = None,
     correlation: bool = True,
-    benign_fraction: float = 0.25,
 ) -> learning.Policy:
     def factory():
-        return DefenseEpisodeEnv(suite, config.seed, env_config,
-                                 correlation, benign_fraction)
+        return DefenseEpisodeEnv(suite, config.seed, env_config, correlation)
     return learning.train(factory, config)
 
 
@@ -635,14 +636,8 @@ def ablation(
     base_options = options or ExperimentOptions()
     baseline, base_records, _ = run_experiment(
         BaselineKind.PROPOSED, suite, seed, policy, base_options)
-    arm_latency = base_options.arm_latency
-    if "rl" in disable:
-        # A new dict: replace() below shares the caller's.
-        arm_latency = {**arm_latency,
-                       BaselineKind.PROPOSED: base_options.playbook_latency}
     ablated_options = replace(
         base_options,
-        arm_latency=arm_latency,
         ledger_enabled=base_options.ledger_enabled and "ledger" not in disable,
         reasoner_correlation="reasoner" not in disable,
         use_policy="rl" not in disable,

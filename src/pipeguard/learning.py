@@ -9,12 +9,12 @@ space so exact oracles stay tractable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .env import ConfigError, EnvState
+from .env import ConfigError, EnvState, check_fields
 from .agents import Assessment, VulnerabilityClass
 
 ENCODING_VERSION = 1
@@ -197,16 +197,25 @@ def save_policy(policy: Policy, path: str) -> None:
         fh.write("\n")
 
 
+_POLICY_FIELDS = {"kind": {"tabular-greedy", "linear-softmax"}, "encoding_version": int,
+                  "actions": [str], "seed": int, "epsilon": float, "params": [[float]]}
+
+
 def load_policy(path: str) -> Policy:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    check_fields(doc, _POLICY_FIELDS, "policy", required=_POLICY_FIELDS)
+    if doc["encoding_version"] != ENCODING_VERSION:
+        raise ConfigError(f"policy encoding_version must be {ENCODING_VERSION}")
+    if any(len(row) != len(doc["actions"]) for row in doc["params"]):
+        raise ConfigError("each policy params row must hold one value per action")
     return Policy(
         kind=doc["kind"],
         params=np.array(doc["params"], dtype=float),
         actions=tuple(doc["actions"]),
-        encoding_version=int(doc["encoding_version"]),
-        seed=int(doc["seed"]),
-        epsilon=float(doc["epsilon"]),
+        encoding_version=doc["encoding_version"],
+        seed=doc["seed"],
+        epsilon=doc["epsilon"],
     )
 
 
@@ -241,11 +250,14 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ConfigError(f"unknown training config fields: {sorted(unknown)}")
-        return cls(**obj)
+        # Each field takes its default's kind; learning_rate defaults to None.
+        spec = {f.name: type(f.default) for f in fields(cls)} | {"learning_rate": float}
+        check_fields(obj, spec, "training config")
+        config = cls(**obj)
+        # Ranges __post_init__ leaves out, so that configs built in code pay nothing.
+        if config.seed < 0 or config.batch_size < 1 or config.max_episode_steps < 1:
+            raise ConfigError("seed must be >= 0, batch_size and max_episode_steps >= 1")
+        return config
 
 
 def entropy_coefficient(config: TrainConfig, episode: int) -> float:

@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .env import AgentRole, MitigationAction, OutcomeFlags
+from .env import AgentRole, MitigationAction, OutcomeFlags, check_fields
 
 ZERO_HASH = bytes(32)
 
@@ -41,7 +41,9 @@ class RateLimited(LedgerError):
 
 
 class DecodeError(LedgerError):
-    pass
+    def __init__(self, message: str, block_index: int = 0):
+        super().__init__(message)
+        self.block_index = block_index
 
 
 # -- Merkle tree -----------------------------------------------------------------
@@ -401,12 +403,12 @@ def default_acl() -> AclPolicy:
 
 
 def acl_from_dict(obj: dict) -> AclPolicy:
-    allowed = {}
-    for role_name, actions in obj.items():
-        allowed[AgentRole(role_name)] = frozenset(
-            MitigationAction[a] for a in actions
-        )
-    return AclPolicy(allowed)
+    names = [{a.name for a in MitigationAction}]
+    check_fields(obj, dict.fromkeys((role.value for role in AgentRole), names), "acl")
+    return AclPolicy({
+        AgentRole(role_name): frozenset(MitigationAction[a] for a in actions)
+        for role_name, actions in obj.items()
+    })
 
 
 def acl_to_dict(policy: AclPolicy) -> dict:
@@ -620,7 +622,7 @@ def read_chain(path: str) -> list[Block]:
                 raise DecodeError("truncated block payload")
             blocks.append(Block.deserialize(data[pos + 4:pos + 4 + length]))
         except DecodeError as exc:
-            raise DecodeError(f"block {len(blocks)}: {exc}") from exc
+            raise DecodeError(f"block {len(blocks)}: {exc}", len(blocks)) from exc
         pos += 4 + length
     return blocks
 
@@ -630,7 +632,5 @@ def verify_chain_file(path: str, validators: ValidatorSet,
     try:
         chain = read_chain(path)
     except DecodeError as exc:
-        text = str(exc)
-        idx = int(text.split(":", 1)[0].split()[1]) if text.startswith("block ") else 0
-        return ChainInvalid(idx, "encoding")
+        return ChainInvalid(exc.block_index, "encoding")
     return verify_chain(chain, validators, acl)

@@ -73,6 +73,15 @@ class TestAgents:
                               "class": "Injection", "confidence": 0.5,
                               "priority": 1}])
 
+    @pytest.mark.parametrize("rule", [
+        {"role": "CodeAnalysis", "token": "x", "class": "Injection"},
+        {"role": "Auditor", "token": "x", "class": "Injection", "confidence": 0.5},
+        {"role": "CodeAnalysis", "token": 7, "class": "Injection", "confidence": 0.5},
+    ])
+    def test_malformed_rule_rejected(self, rule):
+        with pytest.raises(ConfigError):
+            rules_from_list([rule])
+
     def test_every_role_has_default_rules(self):
         rules = default_rules()
         roles = {r.role for r in rules}
@@ -188,6 +197,19 @@ class TestGraph:
     def test_visit_bound_must_be_positive(self):
         spec = {"entry": "a", "max_visits_per_node": 0,
                 "nodes": [{"id": "a", "type": "decision"}]}
+        with pytest.raises(ConfigError):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("change", [
+        {"max_visits_per_node": "2"},
+        {"nodes": [{"id": "a", "type": "router"}]},
+        {"nodes": [{"id": 1, "type": "decision"}]},
+        {"edges": [{"from": "a", "to": "a", "guard": {"class": "Nope"}}]},
+        {"edges": [{"from": "a", "to": "a", "guard": {"min_count": 1.5}}]},
+        {"edges": [{"from": "a"}]},
+    ])
+    def test_malformed_spec_rejected(self, change):
+        spec = {"entry": "a", "nodes": [{"id": "a", "type": "decision"}], **change}
         with pytest.raises(ConfigError):
             build_graph(spec)
 

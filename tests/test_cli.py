@@ -1,8 +1,12 @@
 import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from pipeguard import learning
 from pipeguard.cli import main
@@ -214,3 +218,154 @@ class TestSuiteCommand:
         assert result.exit_code == 0
         doc = json.loads(out.read_text())
         assert len(doc) == 40
+
+
+# -- malformed inputs ------------------------------------------------------------
+
+# Placeholders the test turns into paths: a directory, and a fresh output path.
+DIRECTORY = object()
+OUT = object()
+
+SCENARIO = {"id": "s", "class": "Injection", "stage": "SourceManagement",
+            "payload": ["exec_untrusted_input"], "syntactic_detectable": True,
+            "semantic_detectable": False, "severity": 0.5}
+
+
+def policy_doc(rows, cols, value=0.0, **fields):
+    return {"kind": "tabular-greedy", "encoding_version": 1,
+            "actions": [f"A{i}" for i in range(cols)], "seed": 0, "epsilon": 0.05,
+            "params": [[value] * cols for _ in range(rows)], **fields}
+
+
+def simulate_config(doc):
+    return ["simulate", "--config", doc]
+
+
+MALFORMED = [
+    ("env-reward-key", simulate_config({"env": {"reward": {"gamma": 1}}}),
+     "unknown reward fields: ['gamma']"),
+    ("train-episodes-str", ["train", "--config", {"train": {"episodes": "10"}},
+                            "--out", OUT], "episodes must be an integer"),
+    ("train-episodes-float", ["train", "--config", {"train": {"episodes": 1.5}},
+                              "--out", OUT], "episodes must be an integer"),
+    ("env-max-steps-str", simulate_config({"env": {"max_steps_per_stage": "2"}}),
+     "max_steps_per_stage must be an integer"),
+    ("evaluate-episodes-str", ["evaluate", "--arm", "RuleBased", "--config",
+                               {"evaluate": {"episodes": "x"}}, "--out", OUT],
+     "episodes must be an integer"),
+    ("evaluate-ledger-str", ["evaluate", "--arm", "RuleBased", "--config",
+                             {"evaluate": {"ledger_enabled": "false"}}, "--out", OUT],
+     "ledger_enabled must be true or false"),
+    ("env-delays-name", simulate_config({"env": {"delays": {"BLOK_BUILD": 1}}}),
+     "unknown delays fields: ['BLOK_BUILD']"),
+    ("env-decoy-probability", simulate_config({"env": {"decoy_probability": 7}}),
+     "decoy_probability must be in [0, 1]"),
+    ("env-acceptance", simulate_config({"env": {"acceptance": {"REQUEST_REVIEW": 3}}}),
+     "acceptance REQUEST_REVIEW must be in [0, 1]"),
+    ("scenario-payload-str", ["simulate", "--scenarios", [
+        {**SCENARIO, "payload": "abc", "syntactic_detectable": "no"}]],
+     "payload must be a list"),
+    ("scenario-class", ["simulate", "--scenarios", [{**SCENARIO, "class": "Nope"}]],
+     "class must be one of"),
+    ("scenario-not-object", ["simulate", "--scenarios", [1]],
+     "scenario must be a JSON object"),
+    ("policy-nan", ["simulate", "--policy", policy_doc(
+        300, 8, math.nan, encoding_version=9)], "must be a finite number, got NaN"),
+    ("policy-shape", ["simulate", "--policy", policy_doc(3, 2)], "(3, 2)"),
+    ("policy-no-params", ["simulate", "--policy", {
+        k: v for k, v in policy_doc(300, 8).items() if k != "params"}],
+     "missing policy fields: ['params']"),
+    ("config-directory", simulate_config(DIRECTORY), "Is a directory"),
+    ("config-not-utf8", simulate_config(b"\xff\xfe{}"), "can't decode"),
+]
+
+
+def materialize(args, tmp_path):
+    """Write each non-string argument to a file and pass its path."""
+    out = []
+    for n, arg in enumerate(args):
+        path = tmp_path / f"arg{n}"
+        if isinstance(arg, str):
+            out.append(arg)
+            continue
+        if arg is DIRECTORY:
+            path.mkdir()
+        elif isinstance(arg, bytes):
+            path.write_bytes(arg)
+        elif arg is not OUT:
+            path.write_text(json.dumps(arg))
+        out.append(str(path))
+    return out
+
+
+def assert_config_error(result):
+    assert result.exit_code == 2, result.output
+    lines = result.output.splitlines()  # stdout and stderr
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("args, message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, message):
+    result = runner.invoke(main, materialize(args, tmp_path))
+    assert message in assert_config_error(result)
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["protocol", "replay", "--frames"]])
+def test_index_below_minus_one_is_config_error(runner, tmp_path, command):
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(b"")
+    args = command + ([str(frames)] if command[0] == "protocol" else [])
+    result = runner.invoke(main, args + ["--index", "-2"])
+    assert "index -2 out of range" in assert_config_error(result)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 4)
+            | st.floats(-2.0, 4.0) | st.sampled_from([math.nan, math.inf])
+            | st.text(max_size=3))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                       max_leaves=6)
+# Integers stay small so that no run is long: max_steps_per_stage sets its length.
+_NUMBERS = st.integers(-1, 3) | st.floats(-0.5, 1.5) | st.sampled_from([math.nan])
+_ACTION_MAP = st.dictionaries(st.sampled_from(["BLOCK_BUILD", "REQUEST_REVIEW",
+                                               "BLOK_BUILD"]), _NUMBERS, max_size=2)
+_ENV_VALUES = {
+    "reward": st.dictionaries(st.sampled_from(["alpha", "beta", "delta", "eta",
+                                               "gamma"]), _NUMBERS, max_size=2),
+    "max_steps_per_stage": st.integers(-1, 3),
+    "step_minutes": _NUMBERS,
+    "require_attacks": st.booleans(),
+    "allow_multiple_attacks": st.booleans(),
+    "decoy_probability": _NUMBERS,
+    "decoys_only_benign": st.booleans(),
+    "delays": _ACTION_MAP,
+    "acceptance": _ACTION_MAP,
+}
+
+
+@st.composite
+def env_sections(draw):
+    """Mostly fields of the right kind, one in five of any JSON value."""
+    section = {}
+    for key in draw(st.lists(st.sampled_from(sorted(_ENV_VALUES)), max_size=4,
+                             unique=True)):
+        section[key] = draw(_ENV_VALUES[key] if draw(st.integers(0, 4)) < 4
+                            else _VALUES)
+    return section
+
+
+_CONFIGS = st.fixed_dictionaries({"env": env_sections()}) | _VALUES
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_CONFIGS)
+def test_any_json_config_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path)])
+    assert result.exit_code in (0, 2), (doc, result.exception)
+    if result.exit_code == 2:
+        assert_config_error(result)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,8 +17,10 @@ from pipeguard.env import (
     RewardParams,
     SignalKind,
     VulnerabilityClass,
+    check_fields,
     compute_reward,
     developer_response,
+    env_config_from_dict,
     load_scenarios,
     mitigates,
     observe,
@@ -112,6 +115,40 @@ class TestScenarios:
         doc["stage"] = "Compile"
         with pytest.raises(ConfigError, match="unknown pipeline stage"):
             scenario_from_dict(doc)
+
+
+class TestCheckFields:
+    SPEC = {"n": int, "x": float, "on": bool, "tags": [str], "mode": {"a", "b"},
+            "table": [[float]], "doc": dict}
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 2, "x": 2, "on": False, "tags": [], "mode": "a", "doc": {}},
+        {"x": 1e308, "tags": ["t"], "table": [[1, 2.5], []]},
+    ])
+    def test_accepts(self, obj):
+        check_fields(obj, self.SPEC, "thing", required=("x",))
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1], "thing must be a JSON object, got [1]"),
+        ({"x": 1, "y": 1, "z": 1}, "unknown thing fields: ['y', 'z']"),
+        ({}, "missing thing fields: ['x']"),
+        ({"x": True}, "thing field x must be a finite number, got true"),
+        ({"x": float("nan")}, "got NaN"),
+        ({"x": float("inf")}, "got Infinity"),
+        ({"x": 10 ** 400}, "must be a finite number"),
+        ({"x": 1, "n": 1.0}, "thing field n must be an integer, got 1.0"),
+        ({"x": 1, "n": False}, "must be an integer, got false"),
+        ({"x": 1, "on": 0}, "must be true or false, got 0"),
+        ({"x": 1, "tags": ["a", 3]}, "thing field tags[1] must be a string, got 3"),
+        ({"x": 1, "mode": "c"}, "must be one of ['a', 'b'], got \"c\""),
+        ({"x": 1, "mode": ["a"]}, "must be one of ['a', 'b'], got [\"a\"]"),
+        ({"x": 1, "table": [[1], [None]]}, "thing field table[1][0] must be a finite"),
+        ({"x": 1, "doc": None}, "thing field doc must be a JSON object, got null"),
+    ])
+    def test_rejects(self, obj, message):
+        with pytest.raises(ConfigError) as exc:
+            check_fields(obj, self.SPEC, "thing", required=("x",))
+        assert message in str(exc.value)
 
 
 class TestDeterminism:
@@ -318,6 +355,26 @@ class TestConfig:
         s1, s2 = make_scenario(), make_scenario(id="s2")
         with pytest.raises(ConfigError):
             env.reset([s1, s2], 1)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"step_minutes": -1}, "step_minutes must be >= 0"),
+        ({"decoy_probability": 1.5}, "decoy_probability must be in [0, 1]"),
+        ({"delays": {"PAUSE_BUILD": -0.5}}, "delays PAUSE_BUILD must be >= 0"),
+        ({"acceptance": {"REQUEST_REVIEW": -0.1}}, "acceptance REQUEST_REVIEW"),
+        ({"acceptance": {"request_review": 0.5}}, "unknown acceptance fields"),
+        ({"reward": {"alpha": -1}}, "reward parameter alpha"),
+        ({"max_steps_per_stage": 0}, "max_steps_per_stage must be >= 1"),
+    ])
+    def test_out_of_range_values_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            env_config_from_dict(doc)
+
+    def test_in_range_values_accepted(self):
+        cfg = env_config_from_dict({"step_minutes": 0, "decoy_probability": 1,
+                                    "delays": {"BLOCK_BUILD": 0},
+                                    "acceptance": {"REQUEST_REVIEW": 0.0}})
+        assert cfg.action_delay(MitigationAction.BLOCK_BUILD) == 0.0
+        assert cfg.acceptance_probability(MitigationAction.REQUEST_REVIEW) == 0.0
 
     def test_delay_override(self):
         cfg = EnvConfig(delays={"BLOCK_BUILD": 9.0})

@@ -1,12 +1,15 @@
+import copy
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from pipeguard import ledger as ledger_mod
 from pipeguard.env import (
     ConfigError,
     EnvConfig,
+    MitigationAction,
     PipelineStage,
     VulnerabilityClass,
 )
@@ -18,6 +21,7 @@ from pipeguard.evaluation import (
     ExperimentOptions,
     MetricsReport,
     Mitigation,
+    PolicyStack,
     ablation,
     calibration_suite,
     compare,
@@ -27,6 +31,7 @@ from pipeguard.evaluation import (
     run_experiment,
     suite_hash,
 )
+from pipeguard.learning import N_STATES, Policy
 
 
 def record(index=0, benign=False, predicted=(), actual=(), mitigations=(),
@@ -182,6 +187,15 @@ class TestArms:
             artifacts.chain, artifacts.validators, artifacts.acl)
         assert isinstance(verdict, ledger_mod.ChainValid)
 
+    @pytest.mark.parametrize("params_shape, actions", [
+        ((N_STATES, 3), ("a", "b", "c")),
+        ((N_STATES, 8), tuple(a.name for a in reversed(MitigationAction))),
+    ])
+    def test_policy_stack_rejects_foreign_policy(self, params_shape, actions):
+        policy = Policy("tabular-greedy", np.zeros(params_shape), actions)
+        with pytest.raises(ConfigError, match="policy"):
+            PolicyStack(policy)
+
     def test_policy_arms_require_policy(self, suite):
         with pytest.raises(ConfigError, match="requires a trained policy"):
             run_experiment(BaselineKind.PROPOSED, suite, 3)
@@ -235,9 +249,9 @@ class TestAblation:
 
     def test_rl_off_leaves_caller_options_unchanged(self, suite, proposed_policy):
         options = ExperimentOptions(episodes=10)
-        before = dict(options.arm_latency)
+        before = copy.deepcopy(options)
         ablation(suite, 3, proposed_policy, {"rl"}, options)
-        assert options.arm_latency == before
+        assert options == before
 
 
 class TestCompare:

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +172,36 @@ class TestPolicy:
         assert path.read_bytes() == path2.read_bytes()
 
 
+def policy_doc(**fields):
+    doc = {"kind": "tabular-greedy", "encoding_version": ENCODING_VERSION,
+           "actions": ["a", "b"], "seed": 0, "epsilon": 0.05,
+           "params": [[0.0, 1.0], [2.0, 3.0]]}
+    doc.update(fields)
+    return doc
+
+
+class TestLoadPolicy:
+    def test_accepts_any_action_count(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(policy_doc()))
+        assert load_policy(str(path)).params.shape == (2, 2)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({k: v for k, v in policy_doc().items() if k != "seed"},
+         "missing policy fields: ['seed']"),
+        (policy_doc(encoding_version=2), "encoding_version must be 1"),
+        (policy_doc(params=[[0.0, 1.0], [2.0]]), "one value per action"),
+        (policy_doc(params=[[0.0, 1.0, 2.0]] * 2), "one value per action"),
+        (policy_doc(params=[[0.0, float("inf")]]), "must be a finite number"),
+        (policy_doc(kind="lookup"), "policy field kind must be one of"),
+    ])
+    def test_rejects(self, tmp_path, doc, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_policy(str(path))
+
+
 class TestTrainConfig:
     def test_default_learning_rates(self):
         assert TrainConfig(algorithm="PPO").learning_rate == 3e-4
@@ -181,6 +214,20 @@ class TestTrainConfig:
     def test_unknown_field(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"algorithm": "DQN", "optimizer": "adam"})
+
+    def test_every_field_can_be_set_from_a_dict(self):
+        doc = {name: getattr(TrainConfig(), name)
+               for name in TrainConfig.__dataclass_fields__}
+        assert TrainConfig.from_dict(doc) == TrainConfig()
+
+    @pytest.mark.parametrize("doc", [
+        {"episodes": True}, {"learning_rate": "0.1"}, {"learning_rate": None},
+        {"gamma": 1}, {"seed": 1.0}, {"seed": -1}, {"batch_size": 0},
+        {"max_episode_steps": 0},
+    ])
+    def test_from_dict_rejects(self, doc):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict(doc)
 
     def test_entropy_schedule_endpoints(self):
         cfg = TrainConfig(algorithm="PPO", episodes=100,

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipeguard.env import AgentRole, MitigationAction, OutcomeFlags
+from pipeguard.env import AgentRole, ConfigError, MitigationAction, OutcomeFlags
 from pipeguard.ledger import (
     EQUIVOCATE,
     HONEST,
@@ -299,6 +299,9 @@ class TestChain:
         assert isinstance(verdict, ChainInvalid)
         assert verdict.reason == "encoding"
         assert verdict.first_bad_index == 3
+        with pytest.raises(DecodeError, match="^block 3: ") as exc:
+            read_chain(str(path))
+        assert exc.value.block_index == 3
 
 
 class TestRateLimitAndStake:
@@ -352,6 +355,15 @@ class TestAcl:
     def test_acl_dict_round_trip(self):
         acl = default_acl()
         assert acl_from_dict(acl_to_dict(acl)).allowed == acl.allowed
+
+    @pytest.mark.parametrize("doc", [
+        {"Auditor": ["BLOCK_BUILD"]},
+        {"CICDMonitoring": ["BLOCK"]},
+        {"CICDMonitoring": "BLOCK_BUILD"},
+    ])
+    def test_malformed_acl_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            acl_from_dict(doc)
 
     def test_verify_chain_flags_acl_breach(self, setup4):
         validators, keys, acl = setup4
