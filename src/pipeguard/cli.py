@@ -95,6 +95,8 @@ def _experiment_options(doc: dict, episodes: int | None) -> evaluation.Experimen
         raise ConfigError("episodes must be >= 1")
     if not (0.0 <= options.benign_fraction < 1.0):
         raise ConfigError("benign_fraction must be in [0, 1)")
+    if options.playbook_latency < 0:
+        raise ConfigError("playbook_latency must be >= 0")
     return options
 
 

@@ -227,7 +227,7 @@ class ObservationSignal:
     def stripped(self) -> "ObservationSignal":
         if self.origin_attack is None:
             return self
-        return replace(self, origin_attack=None)
+        return ObservationSignal(self.stage, self.kind, self.content)
 
 
 @dataclass(frozen=True)
@@ -530,34 +530,37 @@ class PipelineEnv:
         if intervention and action in _EFFECT_TAG:
             effects = effects + (f"{_EFFECT_TAG[action]}:{state.step}",)
 
-        nxt = replace(
-            state,
-            active_attacks=tuple(a for a in state.active_attacks if a.id not in mitigated_ids),
-            signals=signals,
-            step=state.step + 1,
-            build_delay=state.build_delay + delay_inc,
-            clock_minutes=state.clock_minutes + self.config.step_minutes + delay_inc,
-            paused=action is MitigationAction.PAUSE_BUILD,
-            effects=effects,
-            mitigated_ids=state.mitigated_ids + tuple(sorted(mitigated_ids)),
-        )
-
-        if action is MitigationAction.BLOCK_BUILD:
-            nxt = replace(nxt, done=True, terminal_outcome=outcome)
-            return Transition(nxt, reward, True, outcome, mitigated)
-
-        at_last_stage = state.stage is PipelineStage.DEPLOYMENT
+        # A run ends on a block or when the last stage runs out of steps; a
+        # finished run keeps its steps_in_stage, a live one counts on or, at
+        # a stage change, restarts from 0.
         stage_exhausted = state.steps_in_stage + 1 >= self.config.max_steps_per_stage
-        if at_last_stage and stage_exhausted:
-            nxt = replace(nxt, done=True, terminal_outcome=outcome)
-            return Transition(nxt, reward, True, outcome, mitigated)
-
-        if stage_exhausted:
-            nxt = replace(nxt, steps_in_stage=0)
-            nxt = self._enter_stage(nxt, PipelineStage(state.stage + 1))
+        done = action is MitigationAction.BLOCK_BUILD or (
+            state.stage is PipelineStage.DEPLOYMENT and stage_exhausted)
+        if done:
+            steps_in_stage = state.steps_in_stage
         else:
-            nxt = replace(nxt, steps_in_stage=state.steps_in_stage + 1)
-        return Transition(nxt, reward, False, outcome, mitigated)
+            steps_in_stage = 0 if stage_exhausted else state.steps_in_stage + 1
+
+        # One constructor call per step: dataclasses.replace walks the fields
+        # on every call, which the per-step path cannot afford.
+        nxt = EnvState(**{
+            **state.__dict__,
+            "active_attacks": tuple(a for a in state.active_attacks
+                                    if a.id not in mitigated_ids),
+            "signals": signals,
+            "step": state.step + 1,
+            "build_delay": state.build_delay + delay_inc,
+            "clock_minutes": state.clock_minutes + self.config.step_minutes + delay_inc,
+            "paused": action is MitigationAction.PAUSE_BUILD,
+            "effects": effects,
+            "mitigated_ids": state.mitigated_ids + tuple(sorted(mitigated_ids)),
+            "done": done,
+            "terminal_outcome": outcome if done else state.terminal_outcome,
+            "steps_in_stage": steps_in_stage,
+        })
+        if stage_exhausted and not done:
+            nxt = self._enter_stage(nxt, PipelineStage(state.stage + 1))
+        return Transition(nxt, reward, done, outcome, mitigated)
 
     def pause(self, state: EnvState) -> EnvState:
         """Freeze a run in place, paying the pause delay; stage is unchanged."""
@@ -637,12 +640,12 @@ class PipelineEnv:
             kind, token = DEFAULT_DECOYS[min(idx, len(DEFAULT_DECOYS) - 1)]
             new_signals.append(ObservationSignal(stage, kind, token))
         injected_ids = {s.id for s in injected}
-        return replace(
-            state,
-            stage=stage,
-            active_attacks=state.active_attacks + tuple(injected),
-            pending_attacks=tuple(s for s in state.pending_attacks
-                                  if s.id not in injected_ids),
-            signals=state.signals + tuple(new_signals),
-            injection_clock=tuple(clocks),
-        )
+        return EnvState(**{
+            **state.__dict__,
+            "stage": stage,
+            "active_attacks": state.active_attacks + tuple(injected),
+            "pending_attacks": tuple(s for s in state.pending_attacks
+                                     if s.id not in injected_ids),
+            "signals": state.signals + tuple(new_signals),
+            "injection_clock": tuple(clocks),
+        })

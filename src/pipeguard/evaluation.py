@@ -39,6 +39,7 @@ from .env import (
     PipelineStage,
     Transition,
     VulnerabilityClass,
+    check_fields,
     observe,
     scenario_to_dict,
     unit_draw,
@@ -185,7 +186,23 @@ class MetricsReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "MetricsReport":
+        check_fields(doc, _REPORT_FIELDS, "report", required=_REPORT_FIELDS)
+        check_fields(doc["per_class"], _PER_CLASS_FIELDS, "report per_class",
+                     required=_PER_CLASS_FIELDS)
+        for name, counts in doc["per_class"].items():
+            check_fields(counts, _CLASS_METRIC_FIELDS, f"report per_class {name}",
+                         required=_CLASS_METRIC_FIELDS)
         return MetricsReport(**doc)
+
+
+_REPORT_FIELDS = {
+    "arm": {kind.value for kind in BaselineKind}, "episodes": int, "seed": int, "suite": str,
+    "per_class": dict, "mttm_minutes": float, "overhead_percent": float,
+    "autonomy_rate": float, "rollback_success_rate": float, "false_positive_actions": int,
+}
+_PER_CLASS_FIELDS = dict.fromkeys((vc.value for vc in VulnerabilityClass), dict)
+_CLASS_METRIC_FIELDS = {"tp": int, "fp": int, "fn": int, "tn": int,
+                        "precision": float, "recall": float, "f1": float}
 
 
 def compute_metrics(records: list[EpisodeRecord], arm: BaselineKind,

@@ -168,9 +168,10 @@ class Policy:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
+    """Softmax over the last axis: each row of a table is normalized on its own."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def select_action(policy: Policy, state_id: int, explore: bool,
@@ -257,6 +258,16 @@ class TrainConfig:
         # Ranges __post_init__ leaves out, so that configs built in code pay nothing.
         if config.seed < 0 or config.batch_size < 1 or config.max_episode_steps < 1:
             raise ConfigError("seed must be >= 0, batch_size and max_episode_steps >= 1")
+        if config.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
+        if not 0.0 < config.clip_epsilon < 1.0:
+            raise ConfigError("clip_epsilon must be in (0, 1)")
+        if not (0.0 <= config.epsilon_start <= 1.0 and 0.0 <= config.epsilon_end <= 1.0):
+            raise ConfigError("epsilon_start and epsilon_end must be in [0, 1]")
+        if config.ppo_epochs < 1:
+            raise ConfigError("ppo_epochs must be >= 1")
+        if config.entropy_coeff_start < 0 or config.entropy_coeff_end < 0:
+            raise ConfigError("entropy_coeff_start and entropy_coeff_end must be >= 0")
         return config
 
 
@@ -345,30 +356,28 @@ def ppo_objective_and_grad(
     Returns (objective, d objective / d theta); the objective is maximized.
     """
     n = len(states)
+    rows = np.arange(n)
+    probs = softmax(theta[states])
+    with np.errstate(divide="ignore"):
+        logp = np.log(probs[rows, actions])
+    ratio = np.exp(logp - old_logp)
+    clipped = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon)
+    surrogate = np.minimum(ratio * advantages, clipped * advantages)
+    # The unclipped branch is active exactly when moving the ratio further
+    # in the advantage's direction is still allowed.
+    unclipped_active = np.where(advantages >= 0, ratio <= 1.0 + clip_epsilon,
+                                ratio >= 1.0 - clip_epsilon)
+    dlogp = -probs
+    dlogp[rows, actions] += 1.0
+    # Entropy bonus.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(probs > 0, np.log(probs), 0.0)
+    entropy = -(probs * logs).sum(axis=1)
+    sample_grad = (np.where(unclipped_active, advantages * ratio, 0.0)[:, None] * dlogp
+                   + entropy_coeff * (-probs * (logs + entropy[:, None])))
     grad = np.zeros_like(theta)
-    total = 0.0
-    for t in range(n):
-        s, a = int(states[t]), int(actions[t])
-        adv = float(advantages[t])
-        probs = softmax(theta[s])
-        logp = float(np.log(probs[a]))
-        ratio = float(np.exp(logp - old_logp[t]))
-        clipped = min(max(ratio, 1.0 - clip_epsilon), 1.0 + clip_epsilon)
-        total += min(ratio * adv, clipped * adv)
-        # The unclipped branch is active exactly when moving the ratio further
-        # in the advantage's direction is still allowed.
-        unclipped_active = (ratio <= 1.0 + clip_epsilon) if adv >= 0 \
-            else (ratio >= 1.0 - clip_epsilon)
-        if unclipped_active:
-            dlogp = -probs
-            dlogp[a] += 1.0
-            grad[s] += adv * ratio * dlogp
-        # Entropy bonus.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(probs > 0, np.log(probs), 0.0)
-        entropy = float(-(probs * logs).sum())
-        total += entropy_coeff * entropy
-        grad[s] += entropy_coeff * (-probs * (logs + entropy))
+    np.add.at(grad, states, sample_grad)
+    total = float(surrogate.sum() + entropy_coeff * entropy.sum())
     return total / n, grad / n
 
 
@@ -386,13 +395,18 @@ def train_ppo(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Po
     episodes_done = 0
     while episodes_done < config.episodes:
         batch = min(config.batch_size, config.episodes - episodes_done)
+        # theta is fixed while a batch is rolled out. Sampling by the
+        # normalized row CDF is what Generator.choice(n, p=row) does, so each
+        # draw takes the same number from rng.
+        probs = softmax(theta)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
         states, actions, returns = [], [], []
         for _ in range(batch):
             s = env.reset(rng)
             ep_states, ep_actions, ep_rewards = [], [], []
             for _ in range(config.max_episode_steps):
-                probs = softmax(theta[s])
-                a = int(rng.choice(env.n_actions, p=probs))
+                a = int(cdf[s].searchsorted(rng.random(), side="right"))
                 nxt, r, done = env.step(a)
                 ep_states.append(s)
                 ep_actions.append(a)
@@ -415,10 +429,7 @@ def train_ppo(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Po
         for s, g in zip(states_a, returns_a):
             baseline_count[s] += 1
             baseline[s] += (g - baseline[s]) / baseline_count[s]
-        old_logp = np.array([
-            float(np.log(softmax(theta[s])[a]))
-            for s, a in zip(states_a, actions_a)
-        ])
+        old_logp = np.log(probs[states_a, actions_a])
         coeff = entropy_coefficient(config, episodes_done)
         for _ in range(config.ppo_epochs):
             _, grad = ppo_objective_and_grad(

@@ -328,14 +328,16 @@ def bft_commit(
 ) -> Committed | Aborted:
     """Single-round signed-quorum commit over a static validator set.
 
-    Every honest validator independently re-verifies the block and returns a
-    signed vote over the block hash; the block commits on 2f+1 valid distinct
+    The honest validators re-verify the block (one pure check, computed once
+    and shared) and each returns its own signed vote over the block hash;
+    every vote is verified, and the block commits on 2f+1 valid distinct
     signatures. Equivocating validators sign a conflicting payload, which
     fails verification against this block and is discarded.
     """
     block_digest = block.hash()
     votes: list[tuple[str, bytes]] = []
     verdicts: dict[str, str] = {}
+    honest_verdict: Optional[str] = None
     for vid, _pub in validators.validators:
         behavior = behaviors.get(vid, HONEST)
         if behavior == SILENT:
@@ -350,9 +352,10 @@ def bft_commit(
             votes.append((vid, key.sign(conflicting)))
             verdicts[vid] = "equivocate"
             continue
-        verdict = _honest_verdict(block, expected_prev_hash, acl)
-        verdicts[vid] = verdict
-        if verdict == "ok":
+        if honest_verdict is None:
+            honest_verdict = _honest_verdict(block, expected_prev_hash, acl)
+        verdicts[vid] = honest_verdict
+        if honest_verdict == "ok":
             votes.append((vid, key.sign(block_digest)))
 
     valid: list[tuple[str, bytes]] = []
@@ -536,9 +539,10 @@ def append_block(
                     apply_penalty(stakes, e.agent_id, 1)
                 raise RateLimited(f"agent {e.agent_id} exceeded its submission rate")
     prev = chain[-1]
+    prev_hash = prev.hash()
     block = Block(
         index=prev.index + 1,
-        prev_hash=prev.hash(),
+        prev_hash=prev_hash,
         merkle_root=entries_root(tuple(entries)),
         entries=tuple(entries),
         proposer=proposer,
@@ -546,7 +550,7 @@ def append_block(
         timestamp=timestamp if timestamp is not None else prev.timestamp + 1,
     )
     result = bft_commit(validators, signing_keys, block, behaviors or {},
-                        prev.hash(), acl)
+                        prev_hash, acl)
     if isinstance(result, Aborted):
         raise LedgerError(f"consensus aborted: {result.reason}")
     committed = Block(**{**block.__dict__, "signatures": result.signatures})

@@ -241,6 +241,21 @@ def simulate_config(doc):
     return ["simulate", "--config", doc]
 
 
+def train_config(**train):
+    return ["train", "--config", {"train": train}, "--out", OUT]
+
+
+def report_doc(f1=0.5):
+    per_class = {name: {"tp": 1, "fp": 0, "fn": 0, "tn": 1, "precision": 1.0,
+                        "recall": 1.0, "f1": f1}
+                 for name in ("Injection", "InsecureDeserialization",
+                              "BrokenAccessControl", "Misconfiguration")}
+    return {"arm": "Proposed", "episodes": 10, "seed": 0, "suite": "s",
+            "per_class": per_class, "mttm_minutes": 6.0, "overhead_percent": 1.0,
+            "autonomy_rate": 1.0, "rollback_success_rate": 1.0,
+            "false_positive_actions": 0}
+
+
 MALFORMED = [
     ("env-reward-key", simulate_config({"env": {"reward": {"gamma": 1}}}),
      "unknown reward fields: ['gamma']"),
@@ -275,6 +290,22 @@ MALFORMED = [
     ("policy-no-params", ["simulate", "--policy", {
         k: v for k, v in policy_doc(300, 8).items() if k != "params"}],
      "missing policy fields: ['params']"),
+    ("evaluate-playbook-latency", ["evaluate", "--arm", "Proposed", "--config",
+                                   {"evaluate": {"playbook_latency": -50}}, "--out", OUT],
+     "playbook_latency must be >= 0"),
+    ("train-learning-rate", train_config(learning_rate=0), "learning_rate must be > 0"),
+    ("train-clip-epsilon", train_config(clip_epsilon=1), "clip_epsilon must be in (0, 1)"),
+    ("train-epsilon-start", train_config(epsilon_start=1.5),
+     "epsilon_start and epsilon_end must be in [0, 1]"),
+    ("train-epsilon-end", train_config(epsilon_end=-0.1),
+     "epsilon_start and epsilon_end must be in [0, 1]"),
+    ("train-ppo-epochs", train_config(ppo_epochs=0), "ppo_epochs must be >= 1"),
+    ("train-entropy-coeff", train_config(entropy_coeff_start=-0.01),
+     "entropy_coeff_start and entropy_coeff_end must be >= 0"),
+    ("compare-empty-report", ["compare", {}, report_doc(), "--out", OUT],
+     "missing report fields: ['arm', "),
+    ("compare-f1-str", ["compare", report_doc(), report_doc("x"), "--out", OUT],
+     "report per_class Injection field f1 must be a finite number"),
     ("config-directory", simulate_config(DIRECTORY), "Is a directory"),
     ("config-not-utf8", simulate_config(b"\xff\xfe{}"), "can't decode"),
 ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -174,6 +175,61 @@ class TestDeterminism:
         env = PipelineEnv()
         s = make_scenario()
         assert env.reset([s], 1).run_id != env.reset([s], 2).run_id
+
+
+A = MitigationAction
+# Scripted episodes: (config, scenarios, seed, actions). The actions are
+# taken in order until the run ends; each episode must end within them.
+SCRIPTED_EPISODES = {
+    "benign-exhausts-last-stage": (EnvConfig(), [], 3, [A.ALLOW_CONTINUE] * 5),
+    "block-build": (
+        EnvConfig(),
+        [make_scenario(semantic_detectable=True),
+         make_scenario(id="s2", stage=PipelineStage.BUILD)],
+        11, [A.REQUEST_REVIEW, A.ALLOW_CONTINUE, A.BLOCK_BUILD]),
+    "pause-and-every-action": (
+        EnvConfig(max_steps_per_stage=2, decoys_only_benign=False,
+                  decoy_probability=0.9),
+        [make_scenario(semantic_detectable=True),
+         make_scenario(id="s2", vuln_class=VulnerabilityClass.INSECURE_DESERIALIZATION,
+                       stage=PipelineStage.DEPENDENCY_RESOLUTION),
+         make_scenario(id="s3", vuln_class=VulnerabilityClass.MISCONFIGURATION,
+                       stage=PipelineStage.BUILD, semantic_detectable=True),
+         make_scenario(id="s4", vuln_class=VulnerabilityClass.BROKEN_ACCESS_CONTROL,
+                       stage=PipelineStage.ARTIFACT_PACKAGING)],
+        7, [A.PAUSE_BUILD, A.OPEN_GUARD_PULL_REQUEST, A.ALLOW_CONTINUE,
+            A.QUARANTINE_DEPENDENCY, A.PAUSE_BUILD, A.APPLY_CONFIG_PATCH,
+            A.REQUEST_REVIEW, A.REVOKE_CREDENTIALS, A.ALLOW_CONTINUE,
+            A.PAUSE_BUILD]),
+}
+
+
+class TestScriptedEpisodes:
+    # sha256 of the repr of the reset state and of every Transition (which
+    # holds its next state), one per line, captured before EnvState was
+    # built with one constructor call per step.
+    DIGESTS = {
+        "benign-exhausts-last-stage":
+            "3e711084d001211d4ea62f72d5dc5fce647d901331361030fb394e54e2dab780",
+        "block-build":
+            "fc9801872a0986eaf01797ff1c324393fb72cf102b9bb444715fb39e17c1be56",
+        "pause-and-every-action":
+            "3332d12d392721ceed931b74855f8ac802dcf669e4a243763353817a0ea0d71f",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCRIPTED_EPISODES))
+    def test_states_are_pinned(self, name):
+        config, scenarios, seed, actions = SCRIPTED_EPISODES[name]
+        env = PipelineEnv(config)
+        state = env.reset(scenarios, seed)
+        lines = [repr(state)]
+        for action in actions:
+            transition = env.step(state, action)
+            lines.append(repr(transition))
+            state = transition.next_state
+        assert state.done
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGESTS[name]
 
 
 class TestStepDynamics:

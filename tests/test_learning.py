@@ -223,7 +223,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("doc", [
         {"episodes": True}, {"learning_rate": "0.1"}, {"learning_rate": None},
         {"gamma": 1}, {"seed": 1.0}, {"seed": -1}, {"batch_size": 0},
-        {"max_episode_steps": 0},
+        {"max_episode_steps": 0}, {"learning_rate": 0}, {"learning_rate": -0.1},
+        {"clip_epsilon": 0}, {"clip_epsilon": 1.0}, {"epsilon_start": -0.1},
+        {"epsilon_end": 2}, {"ppo_epochs": 0}, {"entropy_coeff_start": -1e-3},
+        {"entropy_coeff_end": -1},
     ])
     def test_from_dict_rejects(self, doc):
         with pytest.raises(ConfigError):
@@ -268,6 +271,35 @@ class TestTraining:
         policy = train(lambda: MDPEnv(mdp), cfg)
         assert np.all(policy.params == 0.0)
         assert policy.greedy(0) == 0
+
+
+def ppo_objective_and_grad_loop(theta, states, actions, advantages, old_logp,
+                                clip_epsilon, entropy_coeff):
+    """Per-sample reference for ppo_objective_and_grad."""
+    n = len(states)
+    grad = np.zeros_like(theta)
+    total = 0.0
+    for t in range(n):
+        s, a = int(states[t]), int(actions[t])
+        adv = float(advantages[t])
+        probs = softmax(theta[s])
+        with np.errstate(divide="ignore"):
+            logp = float(np.log(probs[a]))
+        ratio = float(np.exp(logp - old_logp[t]))
+        clipped = min(max(ratio, 1.0 - clip_epsilon), 1.0 + clip_epsilon)
+        total += min(ratio * adv, clipped * adv)
+        unclipped_active = (ratio <= 1.0 + clip_epsilon) if adv >= 0 \
+            else (ratio >= 1.0 - clip_epsilon)
+        if unclipped_active:
+            dlogp = -probs
+            dlogp[a] += 1.0
+            grad[s] += adv * ratio * dlogp
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(probs > 0, np.log(probs), 0.0)
+        entropy = float(-(probs * logs).sum())
+        total += entropy_coeff * entropy
+        grad[s] += entropy_coeff * (-probs * (logs + entropy))
+    return total / n, grad / n
 
 
 class TestPPOGradient:
@@ -321,6 +353,50 @@ class TestPPOGradient:
         obj, _ = ppo_objective_and_grad(theta, states, actions, adv,
                                         old_logp, 0.2, 0.0)
         assert obj == pytest.approx(2.0)  # ratio 1, unclipped
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_per_sample_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_states, n_actions, n = 5, 4, 40
+        theta = rng.normal(scale=2.0, size=(n_states, n_actions))
+        # Row 0's last action has probability exactly 0.
+        theta[0, -1] = -1e4
+        states = rng.integers(n_states, size=n)  # repeats every state
+        actions = rng.integers(n_actions - 1, size=n)
+        advantages = rng.normal(size=n)  # both signs
+        logp = np.log(softmax(theta)[states, actions])
+        # Ratios spread across both sides of [1 - eps, 1 + eps].
+        old_logp = logp + rng.normal(scale=0.4, size=n)
+        ratios = np.exp(logp - old_logp)
+        assert (advantages > 0).any() and (advantages < 0).any()
+        assert (ratios > 1.2).any() and (ratios < 0.8).any()
+        assert ((ratios > 0.8) & (ratios < 1.2)).any()
+        got = ppo_objective_and_grad(theta, states, actions, advantages,
+                                     old_logp, 0.2, 0.05)
+        want = ppo_objective_and_grad_loop(theta, states, actions, advantages,
+                                           old_logp, 0.2, 0.05)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
+
+
+class TestPPORollout:
+    def test_row_cdf_draws_equal_generator_choice(self):
+        theta = np.random.default_rng(5).normal(scale=3.0, size=(30, 8))
+        theta[3, 2] = -1e4  # a zero-probability action
+        probs = softmax(theta)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for s in list(range(30)) * 40:
+            a = int(cdf[s].searchsorted(ours.random(), side="right"))
+            assert a == int(theirs.choice(8, p=probs[s]))
+
+    def test_table_rows_equal_row_softmax(self):
+        theta = np.random.default_rng(6).normal(scale=3.0, size=(300, 8))
+        rows = softmax(theta)
+        for s in range(300):
+            np.testing.assert_array_equal(rows[s], softmax(theta[s]))
 
 
 class TestOracleCorpus:

@@ -223,6 +223,20 @@ class TestChain:
         assert isinstance(verify_chain(chain, validators, acl), ChainValid)
         assert [b.index for b in chain] == [0, 1, 2, 3]
 
+    def test_append_serializes_each_entry_twice(self, setup4, monkeypatch):
+        # Once for the block's root and once for the validators' shared
+        # re-check; all four validators still sign.
+        validators, keys, acl = setup4
+        chain = [make_genesis(validators, keys, acl)]
+        calls = []
+        serialize = LedgerEntry.serialize
+        monkeypatch.setattr(LedgerEntry, "serialize",
+                            lambda e: calls.append(e) or serialize(e))
+        block = append_block(chain, [entry(ts=j) for j in range(3)],
+                             validators.ids()[0], validators, keys, acl)
+        assert len(calls) == 2 * 3
+        assert [vid for vid, _ in block.signatures] == validators.ids()
+
     def test_acl_violation_raises_and_names_role(self, setup4):
         validators, keys, acl = setup4
         chain = [make_genesis(validators, keys, acl)]
