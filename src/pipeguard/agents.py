@@ -9,8 +9,9 @@ between agents is a small guarded graph with bounded loops.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Protocol
 
@@ -92,13 +93,14 @@ def rules_from_list(items: list[dict]) -> list[Rule]:
             for obj in items]
 
 
-def default_rules() -> list[Rule]:
+@functools.cache
+def default_rules() -> tuple[Rule, ...]:
+    """The packaged rule table, parsed once per process."""
     text = resources.files("pipeguard.data").joinpath("rules_default.json").read_text()
-    return rules_from_list(json.loads(text))
+    return tuple(rules_from_list(json.loads(text)))
 
 
-def _apply_rules(role: AgentRole, signals: list[ObservationSignal],
-                 rules: list[Rule]) -> list[Finding]:
+def analyze(role: AgentRole, signals: list[ObservationSignal]) -> list[Finding]:
     expected_kind = ROLE_TO_KIND[role]
     for sig in signals:
         if sig.kind is not expected_kind:
@@ -106,7 +108,7 @@ def _apply_rules(role: AgentRole, signals: list[ObservationSignal],
                 f"{role.value} agent received a {sig.kind.value} signal"
             )
     findings = []
-    for rule in rules:
+    for rule in default_rules():
         if rule.role is not role:
             continue
         for sig in signals:
@@ -120,11 +122,6 @@ def _apply_rules(role: AgentRole, signals: list[ObservationSignal],
                     note=f"{rule.token} in {sig.kind.value}",
                 ))
     return findings
-
-
-def analyze(role: AgentRole, signals, rules=None) -> list[Finding]:
-    return _apply_rules(role, signals,
-                        rules if rules is not None else default_rules())
 
 
 # -- reasoning ---------------------------------------------------------------
@@ -153,14 +150,11 @@ CANDIDATE_ACTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ReasonContext:
-    stage: PipelineStage
-    run_id: str = ""
-
-
 class Reasoner(Protocol):
-    def reason(self, findings: list[Finding], context: ReasonContext) -> Assessment: ...
+    def reason(self, findings: list[Finding]) -> Assessment:
+        """Fuse findings into one assessment. Must be a pure function of
+        `findings`: equal findings give an equal assessment, whatever run or
+        state they came from, so a caller may memoize on them."""
 
 
 def noisy_or(confidences) -> float:
@@ -192,7 +186,7 @@ class RuleBasedReasoner:
     cross_stage_factor: float = 1.5
     correlation_enabled: bool = True
 
-    def reason(self, findings: list[Finding], context: ReasonContext) -> Assessment:
+    def reason(self, findings: list[Finding]) -> Assessment:
         if not findings:
             return BENIGN_ASSESSMENT
         by_class: dict[VulnerabilityClass, list[Finding]] = {}
@@ -351,14 +345,12 @@ class DispatchTrace:
     assessment: Assessment
 
 
-def dispatch(graph: ExecutionGraph, state: EnvState, reasoner: Reasoner,
-             rules: Optional[list[Rule]] = None) -> DispatchTrace:
+def dispatch(graph: ExecutionGraph, state: EnvState, reasoner: Reasoner) -> DispatchTrace:
     """Walk the graph from its entry, collecting findings, and fuse them.
 
     Guards are evaluated over all findings accumulated so far; the walk stops
     at a decision node, when no guard fires, or at the per-node visit bound.
     """
-    rules = rules if rules is not None else default_rules()
     visits: dict[str, int] = {}
     findings: list[Finding] = []
     activations: list[tuple[AgentRole, tuple[Finding, ...]]] = []
@@ -368,7 +360,7 @@ def dispatch(graph: ExecutionGraph, state: EnvState, reasoner: Reasoner,
         node = graph.node(current)
         if node.kind == "decision":
             break
-        got = analyze(node.role, observe(state, node.role), rules)
+        got = analyze(node.role, observe(state, node.role))
         findings.extend(got)
         activations.append((node.role, tuple(got)))
         nxt = None
@@ -383,6 +375,4 @@ def dispatch(graph: ExecutionGraph, state: EnvState, reasoner: Reasoner,
         if nxt is None:
             break
         current = nxt
-    assessment = reasoner.reason(findings, ReasonContext(stage=state.stage,
-                                                         run_id=state.run_id))
-    return DispatchTrace(tuple(activations), assessment)
+    return DispatchTrace(tuple(activations), reasoner.reason(findings))

@@ -24,7 +24,6 @@ from . import learning, ledger as ledger_mod
 from .agents import (
     RuleBasedReasoner,
     analyze,
-    default_rules,
     dispatch,
     full_sweep_graph,
 )
@@ -291,14 +290,11 @@ class RuleBasedStack(DecisionStack):
 
     human_gated = True
 
-    def __init__(self):
-        self.rules = default_rules()
-
     def decide(self, state, prior_alerts):
         best = None
         best_conf = 0.0
         for role in AgentRole:
-            for f in analyze(role, observe(state, role), self.rules):
+            for f in analyze(role, observe(state, role)):
                 if f.confidence >= STRONG_RULE_THRESHOLD and f.confidence > best_conf:
                     best, best_conf = f.hypothesis, f.confidence
         if best is None:
@@ -345,11 +341,10 @@ class PolicyStack(DecisionStack):
             raise ConfigError(f"policy actions must be {list(DefenseEpisodeEnv.action_labels)}")
         self.policy = policy
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.rules = default_rules()
         self.graph = full_sweep_graph()
 
     def decide(self, state, prior_alerts):
-        trace = dispatch(self.graph, state, self.reasoner, self.rules)
+        trace = dispatch(self.graph, state, self.reasoner)
         assessment = trace.assessment
         sid = learning.encode_state(state, assessment, prior_alerts)
         action = MitigationAction(self.policy.greedy(sid))
@@ -364,11 +359,10 @@ class PlaybookStack(DecisionStack):
 
     def __init__(self, correlation: bool = True):
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.rules = default_rules()
         self.graph = full_sweep_graph()
 
     def decide(self, state, prior_alerts):
-        trace = dispatch(self.graph, state, self.reasoner, self.rules)
+        trace = dispatch(self.graph, state, self.reasoner)
         assessment = trace.assessment
         if assessment.verdict is not None:
             return Decision(assessment.verdict,
@@ -593,14 +587,13 @@ class DefenseEpisodeEnv:
         self.seed = seed
         self.pipeline = PipelineEnv(env_config or EnvConfig())
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.rules = default_rules()
         self.graph = full_sweep_graph()
         self._episode = 0
         self._state: Optional[EnvState] = None
         self._prior_alerts = 0
 
     def _encode(self) -> int:
-        trace = dispatch(self.graph, self._state, self.reasoner, self.rules)
+        trace = dispatch(self.graph, self._state, self.reasoner)
         self._last_assessment = trace.assessment
         return learning.encode_state(self._state, trace.assessment,
                                      self._prior_alerts)

@@ -79,6 +79,8 @@ class MDPSpec:
             raise ConfigError("transition tensor shape mismatch")
         if self.rewards.shape != (n_s, n_a):
             raise ConfigError("reward table shape mismatch")
+        if (self.transitions < 0).any() or (self.start < 0).any():
+            raise ConfigError("transition and start probabilities must be >= 0")
         sums = self.transitions.sum(axis=2)
         if not np.allclose(sums, 1.0, atol=1e-9):
             raise ConfigError("transition rows must sum to 1")
@@ -145,22 +147,12 @@ class Policy:
     actions: tuple[str, ...]
     encoding_version: int = ENCODING_VERSION
     seed: int = 0
-    epsilon: float = 0.05        # exploration rate used when sampling greedily
+    epsilon: float = 0.05        # DQN's final exploration rate, kept in policy.json
 
     def greedy(self, state_id: int) -> int:
         self._check(state_id)
         row = self.params[state_id]
         return int(np.argmax(row))  # argmax takes the first maximum: fixed tie-break
-
-    def probabilities(self, state_id: int) -> np.ndarray:
-        self._check(state_id)
-        row = self.params[state_id]
-        if self.kind == "linear-softmax":
-            return softmax(row)
-        n = len(row)
-        probs = np.full(n, self.epsilon / n)
-        probs[int(np.argmax(row))] += 1.0 - self.epsilon
-        return probs
 
     def _check(self, state_id: int) -> None:
         if not (0 <= state_id < self.params.shape[0]):
@@ -172,16 +164,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def select_action(policy: Policy, state_id: int, explore: bool,
-                  rng: Optional[np.random.Generator] = None) -> int:
-    if not explore:
-        return policy.greedy(state_id)
-    if rng is None:
-        raise ConfigError("exploratory selection requires a seeded rng")
-    probs = policy.probabilities(state_id)
-    return int(rng.choice(len(probs), p=probs))
 
 
 def save_policy(policy: Policy, path: str) -> None:
@@ -290,6 +272,14 @@ class EpisodicEnv(Protocol):
     def step(self, action: int) -> tuple[int, float, bool]: ...
 
 
+def _row_cdf(p: np.ndarray) -> np.ndarray:
+    """Rows cumulated and normalized by their last element: searching one with
+    rng.random() draws what Generator.choice(n, p=row) draws."""
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 class MDPEnv:
     """Episodic adapter over a finite MDPSpec."""
 
@@ -298,18 +288,21 @@ class MDPEnv:
         self.n_states = len(mdp.states)
         self.n_actions = len(mdp.actions)
         self.action_labels = tuple(mdp.actions)
+        self._start_cdf = _row_cdf(mdp.start)
+        self._transition_cdf = _row_cdf(mdp.transitions)
         self._state = 0
         self._rng: Optional[np.random.Generator] = None
 
     def reset(self, rng: np.random.Generator) -> int:
         self._rng = rng
-        self._state = int(rng.choice(self.n_states, p=self.mdp.start))
+        self._state = int(self._start_cdf.searchsorted(rng.random(), side="right"))
         return self._state
 
     def step(self, action: int) -> tuple[int, float, bool]:
         s = self._state
         reward = float(self.mdp.rewards[s, action])
-        nxt = int(self._rng.choice(self.n_states, p=self.mdp.transitions[s, action]))
+        cdf = self._transition_cdf[s, action]
+        nxt = int(cdf.searchsorted(self._rng.random(), side="right"))
         self._state = nxt
         return nxt, reward, nxt in self.mdp.terminal
 
@@ -395,12 +388,9 @@ def train_ppo(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Po
     episodes_done = 0
     while episodes_done < config.episodes:
         batch = min(config.batch_size, config.episodes - episodes_done)
-        # theta is fixed while a batch is rolled out. Sampling by the
-        # normalized row CDF is what Generator.choice(n, p=row) does, so each
-        # draw takes the same number from rng.
+        # theta is fixed while a batch is rolled out.
         probs = softmax(theta)
-        cdf = probs.cumsum(axis=1)
-        cdf /= cdf[:, -1:]
+        cdf = _row_cdf(probs)
         states, actions, returns = [], [], []
         for _ in range(batch):
             s = env.reset(rng)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .env import AgentRole, MitigationAction, OutcomeFlags, check_fields
+from .env import AgentRole, ConfigError, MitigationAction, OutcomeFlags
 
 ZERO_HASH = bytes(32)
 
@@ -33,10 +33,6 @@ class LedgerError(Exception):
 
 
 class AclViolation(LedgerError):
-    pass
-
-
-class RateLimited(LedgerError):
     pass
 
 
@@ -257,6 +253,11 @@ def entries_root(entries: tuple[LedgerEntry, ...]) -> bytes:
 class ValidatorSet:
     validators: list[tuple[str, Ed25519PublicKey]]
 
+    def __post_init__(self):
+        # With no validators the quorum is -1 and any chain would pass.
+        if not self.validators:
+            raise ConfigError("a validator set needs at least one validator")
+
     @property
     def n(self) -> int:
         return len(self.validators)
@@ -313,7 +314,7 @@ def _honest_verdict(block: Block, expected_prev: bytes, acl: "AclPolicy") -> str
     if block.merkle_root != entries_root(block.entries):
         return "bad_merkle_root"
     for e in block.entries:
-        if not check_write_acl(acl, e.role, e):
+        if not acl.permits(e.role, e.action):
             return "acl_violation"
     return "ok"
 
@@ -379,7 +380,7 @@ def bft_commit(
     )
 
 
-# -- access control, rate limiting, staking -------------------------------------
+# -- access control ------------------------------------------------------------
 
 
 @dataclass
@@ -403,91 +404,6 @@ def default_acl() -> AclPolicy:
         AgentRole.ACCESS_CONTROL: observer | {MitigationAction.REVOKE_CREDENTIALS},
         AgentRole.CONFIGURATION_AUDIT: observer | {MitigationAction.APPLY_CONFIG_PATCH},
     })
-
-
-def acl_from_dict(obj: dict) -> AclPolicy:
-    names = [{a.name for a in MitigationAction}]
-    check_fields(obj, dict.fromkeys((role.value for role in AgentRole), names), "acl")
-    return AclPolicy({
-        AgentRole(role_name): frozenset(MitigationAction[a] for a in actions)
-        for role_name, actions in obj.items()
-    })
-
-
-def acl_to_dict(policy: AclPolicy) -> dict:
-    return {
-        role.value: sorted(a.name for a in actions)
-        for role, actions in policy.allowed.items()
-    }
-
-
-def check_write_acl(policy: AclPolicy, role: AgentRole, entry: LedgerEntry) -> bool:
-    return policy.permits(role, entry.action)
-
-
-@dataclass
-class RateLimiter:
-    """Per-agent token bucket over the simulated clock."""
-
-    capacity: int = 10
-    refill_per_minute: float = 1.0
-    _buckets: dict = field(default_factory=dict)
-
-    def consume(self, agent_id: str, now: float) -> bool:
-        tokens, last = self._buckets.get(agent_id, (float(self.capacity), now))
-        tokens = min(float(self.capacity), tokens + max(0.0, now - last) * self.refill_per_minute)
-        if tokens >= 1.0:
-            self._buckets[agent_id] = (tokens - 1.0, now)
-            return True
-        self._buckets[agent_id] = (tokens, now)
-        return False
-
-
-@dataclass(frozen=True)
-class StakeAccount:
-    agent_id: str
-    balance: int
-    penalties_applied: int = 0
-
-
-@dataclass
-class StakeRegistry:
-    accounts: dict[str, StakeAccount] = field(default_factory=dict)
-    initial_balance: int = 100
-
-    def register(self, agent_id: str) -> None:
-        self.accounts.setdefault(
-            agent_id, StakeAccount(agent_id, self.initial_balance)
-        )
-
-    def balance(self, agent_id: str) -> int:
-        return self._get(agent_id).balance
-
-    def exhausted(self, agent_id: str) -> bool:
-        return self._get(agent_id).balance <= 0
-
-    def _get(self, agent_id: str) -> StakeAccount:
-        if agent_id not in self.accounts:
-            raise LedgerError(f"unknown agent id: {agent_id}")
-        return self.accounts[agent_id]
-
-
-def apply_penalty(stakes: StakeRegistry, agent_id: str, amount: int) -> StakeAccount:
-    account = stakes._get(agent_id)
-    updated = StakeAccount(
-        agent_id=agent_id,
-        balance=max(0, account.balance - amount),
-        penalties_applied=account.penalties_applied + 1,
-    )
-    stakes.accounts[agent_id] = updated
-    return updated
-
-
-def consume_rate_token(limiter: RateLimiter, agent_id: str, now: float,
-                       stakes: Optional[StakeRegistry] = None) -> bool:
-    if stakes is not None and stakes.exhausted(agent_id):
-        return False
-    return limiter.consume(agent_id, now)
 
 
 # -- chain operations ------------------------------------------------------------
@@ -516,8 +432,6 @@ def append_block(
     validators: ValidatorSet,
     signing_keys: dict[str, Ed25519PrivateKey],
     acl: AclPolicy,
-    limiter: Optional[RateLimiter] = None,
-    stakes: Optional[StakeRegistry] = None,
     behaviors: Optional[dict[str, str]] = None,
     timestamp: Optional[int] = None,
 ) -> Block:
@@ -527,17 +441,10 @@ def append_block(
     if proposer not in validators.ids():
         raise LedgerError(f"proposer {proposer!r} is not a validator")
     for e in entries:
-        if not check_write_acl(acl, e.role, e):
-            if stakes is not None and e.agent_id in stakes.accounts:
-                apply_penalty(stakes, e.agent_id, 1)
+        if not acl.permits(e.role, e.action):
             raise AclViolation(
                 f"role {e.role.value} may not record action {e.action.name}"
             )
-        if limiter is not None:
-            if not consume_rate_token(limiter, e.agent_id, float(e.timestamp), stakes):
-                if stakes is not None and e.agent_id in stakes.accounts:
-                    apply_penalty(stakes, e.agent_id, 1)
-                raise RateLimited(f"agent {e.agent_id} exceeded its submission rate")
     prev = chain[-1]
     prev_hash = prev.hash()
     block = Block(
@@ -595,7 +502,7 @@ def verify_chain(chain: list[Block], validators: ValidatorSet,
         if len(seen) < validators.quorum:
             return ChainInvalid(i, "quorum")
         for e in block.entries:
-            if not check_write_acl(acl, e.role, e):
+            if not acl.permits(e.role, e.action):
                 return ChainInvalid(i, "acl")
     return ChainValid()
 

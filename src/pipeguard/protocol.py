@@ -32,6 +32,7 @@ ILLEGAL_ACTION = -32002
 KNOWN_METHODS = ("fetch_logs", "fetch_artifact", "trigger_action", "issue_mitigation")
 
 _KEY_ORDER = ("version", "id", "kind", "method", "params", "result", "error")
+_OBJECT_OR_NULL = (dict, type(None))
 
 
 class ProtocolError(Exception):
@@ -66,11 +67,18 @@ class Envelope:
             raise FrameError(f"unknown kind {self.kind!r}")
         if self.kind in ("request", "event") and not self.method:
             raise FrameError(f"{self.kind} requires a method")
+        if self.method is not None and not isinstance(self.method, str):
+            raise FrameError("method must be a string")
+        if not (isinstance(self.params, _OBJECT_OR_NULL)
+                and isinstance(self.result, _OBJECT_OR_NULL)
+                and isinstance(self.error, _OBJECT_OR_NULL)):
+            raise FrameError("params, result and error must be objects")
         if self.kind == "response":
             if (self.result is None) == (self.error is None):
                 raise FrameError("response carries exactly one of result/error")
-        if self.kind in ("request", "response"):
-            if not isinstance(self.id, int) or self.id <= 0:
+        # type() rather than isinstance(): JSON true would pass as the int 1.
+        if self.kind in ("request", "response") or self.id is not None:
+            if type(self.id) is not int or self.id <= 0:
                 raise FrameError("id must be a positive integer")
 
 
@@ -91,7 +99,8 @@ def decode_message(frame: bytes) -> Envelope:
         raise FrameError("frame contains an embedded newline", text.index(b"\n"))
     try:
         doc = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and integers too long to convert.
+    except (ValueError, RecursionError) as exc:
         offset = getattr(exc, "pos", getattr(exc, "start", 0))
         raise FrameError(f"malformed frame: {exc}", offset) from exc
     if not isinstance(doc, dict):
@@ -141,6 +150,14 @@ def route_request(registry: dict[str, Handler], envelope: Envelope) -> Envelope:
 # -- simulated pipeline connector ------------------------------------------------
 
 
+def _str_param(params: dict, key: str, default: Optional[str] = None) -> Optional[str]:
+    """A request parameter that must be a string or null when present."""
+    value = params.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise ProtocolError(INVALID_REQUEST, f"{key} must be a string")
+    return value
+
+
 @dataclass
 class RunHandle:
     env: PipelineEnv
@@ -170,7 +187,7 @@ class SimulatedConnector:
         }
 
     def _run(self, params: dict) -> RunHandle:
-        run_id = params.get("run_id")
+        run_id = _str_param(params, "run_id")
         handle = self.runs.get(run_id)
         if handle is None:
             raise ProtocolError(UNKNOWN_RUN, f"unknown run: {run_id}")
@@ -178,7 +195,7 @@ class SimulatedConnector:
 
     def fetch_logs(self, params: dict) -> dict:
         handle = self._run(params)
-        stage = params.get("stage")
+        stage = _str_param(params, "stage")
         if stage is not None and stage not in _STAGE_NAMES:
             raise ProtocolError(ILLEGAL_ACTION, f"unknown stage: {stage}")
         logs = [
@@ -191,7 +208,7 @@ class SimulatedConnector:
 
     def fetch_artifact(self, params: dict) -> dict:
         handle = self._run(params)
-        name = params.get("name", "build-artifact")
+        name = _str_param(params, "name", "build-artifact")
         return {
             "run_id": params["run_id"],
             "artifact": {
@@ -203,7 +220,7 @@ class SimulatedConnector:
 
     def trigger_action(self, params: dict) -> dict:
         handle = self._run(params)
-        verb = params.get("action")
+        verb = _str_param(params, "action")
         state = handle.state
         if verb == "pause":
             if state.done or state.paused:
@@ -231,8 +248,9 @@ class SimulatedConnector:
 
     def issue_mitigation(self, params: dict) -> dict:
         handle = self._run(params)
+        name = _str_param(params, "mitigation", "")
         try:
-            action = MitigationAction[params.get("mitigation", "")]
+            action = MitigationAction[name]
         except KeyError:
             raise ProtocolError(
                 ILLEGAL_ACTION, f"unknown mitigation: {params.get('mitigation')}"

@@ -7,7 +7,6 @@ from pipeguard.agents import (
     Assessment,
     Finding,
     Guard,
-    ReasonContext,
     Rule,
     RuleBasedReasoner,
     analyze,
@@ -62,11 +61,6 @@ class TestAgents:
                       [sig("exec_untrusted_input exec_untrusted_input")])
         assert len(out) == 1
 
-    def test_explicit_empty_rule_list_finds_nothing(self):
-        signals = [sig("uses exec_untrusted_input here")]
-        assert analyze(AgentRole.CODE_ANALYSIS, signals)
-        assert analyze(AgentRole.CODE_ANALYSIS, signals, rules=[]) == []
-
     def test_unknown_rule_field_rejected(self):
         with pytest.raises(ConfigError):
             rules_from_list([{"role": "CodeAnalysis", "token": "x",
@@ -86,6 +80,8 @@ class TestAgents:
         rules = default_rules()
         roles = {r.role for r in rules}
         assert roles == set(AgentRole)
+        # Parsed once per process, into a table no caller can change.
+        assert default_rules() is rules and isinstance(rules, tuple)
 
     def test_finding_contract(self):
         with pytest.raises(ContractViolation):
@@ -114,43 +110,37 @@ class TestReasoner:
 
     def test_no_findings_is_benign(self):
         r = RuleBasedReasoner()
-        ctx = ReasonContext(stage=PipelineStage.BUILD)
-        assert r.reason([], ctx) == BENIGN_ASSESSMENT
+        assert r.reason([]) == BENIGN_ASSESSMENT
 
     def test_subthreshold_is_benign(self):
         r = RuleBasedReasoner()
-        ctx = ReasonContext(stage=PipelineStage.BUILD)
-        assert r.reason([finding(conf=0.25)], ctx).verdict is None
+        assert r.reason([finding(conf=0.25)]).verdict is None
 
     def test_two_stage_weak_findings_cross_threshold(self):
         r = RuleBasedReasoner()
-        ctx = ReasonContext(stage=PipelineStage.DEPENDENCY_RESOLUTION)
         fs = [finding(conf=0.25, stage=PipelineStage.SOURCE_MANAGEMENT),
               finding(conf=0.25, stage=PipelineStage.DEPENDENCY_RESOLUTION)]
-        out = r.reason(fs, ctx)
+        out = r.reason(fs)
         assert out.verdict is VulnerabilityClass.INJECTION
         assert out.severity == pytest.approx(0.53846, abs=1e-4)
         # Same evidence without the correlation bonus stays benign.
         off = RuleBasedReasoner(correlation_enabled=False)
-        assert off.reason(fs, ctx).verdict is None
+        assert off.reason(fs).verdict is None
 
     def test_same_stage_findings_get_no_bonus(self):
         r = RuleBasedReasoner()
-        ctx = ReasonContext(stage=PipelineStage.BUILD)
         fs = [finding(conf=0.25), finding(conf=0.25)]
-        assert r.reason(fs, ctx).verdict is None
+        assert r.reason(fs).verdict is None
 
     def test_verdict_tie_break_is_class_order(self):
         r = RuleBasedReasoner()
-        ctx = ReasonContext(stage=PipelineStage.BUILD)
         fs = [finding(cls=VulnerabilityClass.MISCONFIGURATION, conf=0.8),
               finding(cls=VulnerabilityClass.INJECTION, conf=0.8)]
-        assert r.reason(fs, ctx).verdict is VulnerabilityClass.INJECTION
+        assert r.reason(fs).verdict is VulnerabilityClass.INJECTION
 
     def test_rationale_names_evidence(self):
         r = RuleBasedReasoner()
-        ctx = ReasonContext(stage=PipelineStage.BUILD)
-        out = r.reason([finding(conf=0.9)], ctx)
+        out = r.reason([finding(conf=0.9)])
         assert "tok" in out.rationale
         assert "Injection" in out.rationale
 

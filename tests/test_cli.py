@@ -8,8 +8,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from pipeguard import learning
+from pipeguard import learning, ledger
 from pipeguard.cli import main
+from pipeguard.env import AgentRole, MitigationAction, OutcomeFlags
 
 
 @pytest.fixture()
@@ -171,6 +172,19 @@ class TestLedgerCommands:
         assert len(result.output.strip().splitlines()) == 4
 
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_verify_needs_a_validator(self, runner, tmp_path, n):
+        # Two blocks that link and root correctly but carry no signatures.
+        root = ledger.entries_root(())
+        genesis = ledger.Block(0, ledger.ZERO_HASH, root, (), "validator-0", (), 0)
+        block = ledger.Block(1, genesis.hash(), root, (), "validator-0", (), 1)
+        chain = tmp_path / "forged.bin"
+        ledger.write_chain([genesis, block], str(chain))
+        result = runner.invoke(main, ["ledger", "verify", "--validators", n,
+                                      "--chain", str(chain)])
+        assert "at least one validator" in assert_error_line(result)
+
+
 class TestCompareCommand:
     def test_compare_two_arms(self, runner, tmp_path, policy_file):
         rb, prop, cmp_dir = tmp_path / "rb", tmp_path / "prop", tmp_path / "cmp"
@@ -209,6 +223,28 @@ class TestProtocolCommand:
         doc = json.loads(result.output)
         assert doc["kind"] == "response"
         assert "logs" in doc["result"]
+
+
+    @pytest.mark.parametrize("frame, message", [
+        ({"params": [1]}, "params, result and error must be objects"),
+        ({"method": ["x"]}, "method must be a string"),
+        ({"id": True}, "id must be a positive integer"),
+    ], ids=["params", "method", "id"])
+    def test_ill_typed_frame_is_one_line_error(self, runner, tmp_path, frame, message):
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(json.dumps({"version": "1.0", "id": 1, "kind": "request",
+                                      "method": "fetch_logs", **frame}))
+        result = runner.invoke(main, ["protocol", "replay", "--frames", str(frames)])
+        assert message in assert_error_line(result, exit_code=1)
+
+    def test_non_string_run_id_is_in_band_error(self, runner, tmp_path):
+        frames = tmp_path / "frames.jsonl"
+        frames.write_bytes(b'{"version":"1.0","id":1,"kind":"request",'
+                           b'"method":"fetch_logs","params":{"run_id":["x"]}}\n')
+        result = runner.invoke(main, ["protocol", "replay", "--frames", str(frames)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["error"] == {
+            "code": -32600, "message": "run_id must be a string"}
 
 
 class TestSuiteCommand:
@@ -329,8 +365,8 @@ def materialize(args, tmp_path):
     return out
 
 
-def assert_config_error(result):
-    assert result.exit_code == 2, result.output
+def assert_error_line(result, exit_code=2):
+    assert result.exit_code == exit_code, result.output
     lines = result.output.splitlines()  # stdout and stderr
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     return lines[0]
@@ -340,7 +376,7 @@ def assert_config_error(result):
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, message):
     result = runner.invoke(main, materialize(args, tmp_path))
-    assert message in assert_config_error(result)
+    assert message in assert_error_line(result)
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["protocol", "replay", "--frames"]])
@@ -349,7 +385,7 @@ def test_index_below_minus_one_is_config_error(runner, tmp_path, command):
     frames.write_bytes(b"")
     args = command + ([str(frames)] if command[0] == "protocol" else [])
     result = runner.invoke(main, args + ["--index", "-2"])
-    assert "index -2 out of range" in assert_config_error(result)
+    assert "index -2 out of range" in assert_error_line(result)
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers(-2, 4)
@@ -399,4 +435,101 @@ def test_any_json_config_exits_0_or_2(doc):
         result = CliRunner().invoke(main, ["simulate", "--config", str(path)])
     assert result.exit_code in (0, 2), (doc, result.exception)
     if result.exit_code == 2:
-        assert_config_error(result)
+        assert_error_line(result)
+
+
+# A fuzzed frame is a well-formed request with up to two fields dropped or
+# replaced, by a value of their kind or by any JSON value; one time in ten it
+# is any JSON value.
+_PARAM_VALUES = {
+    "stage": st.sampled_from(["Build", "Compile"]),
+    "name": st.just("app.tar"),
+    "action": st.sampled_from(["pause", "resume", "rerun", "restart"]),
+    "mitigation": st.sampled_from(["BLOCK_BUILD", "ALLOW_CONTINUE", "SELF_DESTRUCT"]),
+}
+_FRAME_VALUES = {
+    "version": st.just("1.0"),
+    "id": st.integers(-1, 3),
+    "kind": st.sampled_from(["request", "response", "event"]),
+    "method": st.sampled_from(["fetch_logs", "fetch_artifact", "trigger_action",
+                               "issue_mitigation", "reboot"]),
+    "params": st.fixed_dictionaries({"run_id": st.one_of(
+        st.just("demo"), st.just("demo"), st.just("run-0"), _VALUES)}, optional={
+        key: strategy | _VALUES for key, strategy in _PARAM_VALUES.items()}),
+    "result": st.dictionaries(st.text(max_size=3), _VALUES, max_size=2),
+    "error": st.dictionaries(st.text(max_size=3), _VALUES, max_size=2),
+}
+_DROP = object()
+
+
+@st.composite
+def frames(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_VALUES)
+    frame = {"version": "1.0", "id": draw(st.integers(1, 3)), "kind": "request",
+             "method": draw(_FRAME_VALUES["method"]), "params": draw(_FRAME_VALUES["params"])}
+    for key in draw(st.lists(st.sampled_from(sorted(_FRAME_VALUES)), max_size=2,
+                             unique=True)):
+        value = draw(_FRAME_VALUES[key] | _VALUES | st.just(_DROP))
+        if value is _DROP:
+            frame.pop(key, None)
+        else:
+            frame[key] = value
+    return frame
+
+
+def assert_exits_0_or_1(result):
+    """A verification command ends in 0 or 1, with at most one error line."""
+    assert result.exit_code in (0, 1), result.exception
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert sum(line.startswith("error: ") for line in lines) <= 1, lines
+    if result.exit_code == 1:
+        assert len(lines) == 1, lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=st.lists(frames(), min_size=1, max_size=4))
+def test_any_json_frames_exit_0_or_1(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.jsonl"
+        path.write_text("\n".join(json.dumps(doc) for doc in docs) + "\n")
+        result = CliRunner().invoke(main, ["protocol", "replay", "--frames", str(path)])
+    assert_exits_0_or_1(result)
+
+
+@pytest.fixture(scope="module")
+def chain_bytes(tmp_path_factory):
+    """A real three-block chain under the default validator set of seed 0."""
+    validators, keys = ledger.generate_validators(4, 0)
+    acl = ledger.default_acl()
+    chain = [ledger.make_genesis(validators, keys, acl)]
+    for t in (1, 2):
+        entry = ledger.LedgerEntry(
+            "mitigation-controller", AgentRole.CICD_MONITORING, bytes(32),
+            "benign", MitigationAction.ALLOW_CONTINUE,
+            OutcomeFlags(False, False, True, 0.0), t)
+        ledger.append_block(chain, [entry], validators.ids()[0], validators, keys, acl)
+    path = tmp_path_factory.mktemp("chain") / "chain.bin"
+    ledger.write_chain(chain, str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(flips=st.lists(st.integers(min_value=0), max_size=3),
+       cut=st.integers(min_value=0) | st.none(), noise=st.binary(max_size=200) | st.none())
+def test_any_chain_file_exits_0_or_1(chain_bytes, flips, cut, noise):
+    """Bit-flipped or truncated copies of a real chain, or arbitrary bytes."""
+    if noise is not None:
+        data = noise
+    else:
+        raw = bytearray(chain_bytes)
+        for bit in flips:
+            raw[bit // 8 % len(raw)] ^= 1 << bit % 8
+        data = bytes(raw[:cut])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.bin"
+        path.write_bytes(data)
+        for command in ("verify", "show"):
+            assert_exits_0_or_1(CliRunner().invoke(main, ["ledger", command,
+                                                          "--chain", str(path)]))

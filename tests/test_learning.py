@@ -22,7 +22,6 @@ from pipeguard.learning import (
     optimal_reachable_states,
     ppo_objective_and_grad,
     save_policy,
-    select_action,
     severity_bucket,
     softmax,
     train,
@@ -87,6 +86,38 @@ class TestMDP:
         with pytest.raises(ConfigError, match="sum to 1"):
             MDPSpec(["a", "b"], ["x"], P, np.zeros((2, 1)), gamma=0.9)
 
+    @pytest.mark.parametrize("where", ["transitions", "start"])
+    def test_negative_probabilities_rejected(self, where):
+        P = np.zeros((2, 1, 2))
+        P[:, 0, 1] = 1.0
+        start = np.array([1.0, 0.0])
+        # Each row still sums to 1.
+        if where == "transitions":
+            P[0, 0] = [1.5, -0.5]
+        else:
+            start = np.array([1.5, -0.5])
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            MDPSpec(["a", "b"], ["x"], P, np.zeros((2, 1)), gamma=0.9, start=start)
+
+    @pytest.mark.parametrize("name,mdp", corpus())
+    def test_env_draws_equal_generator_choice(self, name, mdp):
+        env = MDPEnv(mdp)
+        n = len(mdp.states)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        actions = np.random.default_rng(4)
+        for _ in range(50):
+            s = env.reset(ours)
+            assert s == int(theirs.choice(n, p=mdp.start))
+            for _ in range(40):
+                a = int(actions.integers(len(mdp.actions)))
+                nxt, reward, done = env.step(a)
+                assert nxt == int(theirs.choice(n, p=mdp.transitions[s, a]))
+                assert reward == mdp.rewards[s, a]
+                assert done == (nxt in mdp.terminal)
+                s = nxt
+                if done:
+                    break
+
     def test_gamma_bounds(self):
         P = np.ones((1, 1, 1))
         with pytest.raises(ConfigError):
@@ -133,29 +164,6 @@ class TestPolicy:
     def test_out_of_range_state(self):
         with pytest.raises(ConfigError):
             self.make_policy().greedy(5)
-
-    def test_softmax_probabilities(self):
-        p = self.make_policy(kind="linear-softmax")
-        probs = p.probabilities(0)
-        assert probs == pytest.approx(softmax(np.array([0.1, 0.9, 0.2])))
-        assert probs.sum() == pytest.approx(1.0)
-
-    def test_epsilon_greedy_probabilities(self):
-        p = self.make_policy()
-        probs = p.probabilities(0)
-        assert probs[1] == pytest.approx(1.0 - 0.05 + 0.05 / 3)
-        assert probs.sum() == pytest.approx(1.0)
-
-    def test_explore_requires_rng(self):
-        with pytest.raises(ConfigError):
-            select_action(self.make_policy(), 0, explore=True)
-
-    def test_exploration_sampling_statistics(self):
-        p = self.make_policy(kind="linear-softmax")
-        rng = np.random.default_rng(0)
-        draws = [select_action(p, 0, True, rng) for _ in range(4000)]
-        freq = np.bincount(draws, minlength=3) / 4000
-        assert freq == pytest.approx(p.probabilities(0), abs=0.02)
 
     def test_save_load_round_trip(self, tmp_path):
         p = self.make_policy()

@@ -9,6 +9,7 @@ from pipeguard.protocol import (
     Envelope,
     FrameError,
     ILLEGAL_ACTION,
+    INVALID_REQUEST,
     METHOD_NOT_FOUND,
     ProtocolError,
     SimulatedConnector,
@@ -113,6 +114,28 @@ class TestFraming:
         with pytest.raises(FrameError):
             Envelope(id=None, kind="request", method="m").validate()
 
+    @pytest.mark.parametrize("frame, message", [
+        (b'{"version":"1.0","id":1,"kind":"request","method":"m","params":[1]}',
+         "params, result and error must be objects"),
+        (b'{"version":"1.0","id":1,"kind":"request","method":["x"]}',
+         "method must be a string"),
+        (b'{"version":"1.0","id":true,"kind":"request","method":"m"}',
+         "id must be a positive integer"),
+        (b'{"version":"1.0","id":1.0,"kind":"event","method":"m"}',
+         "id must be a positive integer"),
+        (b'{"version":"1.0","id":1,"kind":"response","result":"ok"}',
+         "params, result and error must be objects"),
+        (b'{"version":"1.0","id":1,"kind":"response","error":7}',
+         "params, result and error must be objects"),
+        (b'{"version":"1.0","id":' + b"1" * 5000 + b',"kind":"event","method":"m"}',
+         "malformed frame"),
+        (b"[" * 100_000 + b"]" * 100_000, "malformed frame"),
+    ], ids=["params", "method", "id-bool", "id-float", "result", "error",
+            "long-int", "deep-nesting"])
+    def test_ill_typed_frame_rejected(self, frame, message):
+        with pytest.raises(FrameError, match=message):
+            decode_message(frame)
+
     @settings(max_examples=100, deadline=None)
     @given(
         kind=st.sampled_from(["request", "response", "event"]),
@@ -168,6 +191,22 @@ class TestConnector:
                        params={"run_id": "run-ffff"})
         resp = route_request(connector.registry(), req)
         assert resp.error["code"] == UNKNOWN_RUN
+
+    @pytest.mark.parametrize("method, params", [
+        ("fetch_logs", {"run_id": ["x"]}),
+        ("fetch_logs", {"run_id": RUN_ID, "stage": ["Build"]}),
+        ("fetch_artifact", {"run_id": RUN_ID, "name": 7}),
+        ("trigger_action", {"run_id": RUN_ID, "action": {"verb": "pause"}}),
+        ("issue_mitigation", {"run_id": RUN_ID, "mitigation": ["BLOCK_BUILD"]}),
+    ])
+    def test_non_string_param_is_invalid_request(self, method, params):
+        connector = fresh_connector()
+        before = connector.runs[RUN_ID].state
+        resp = route_request(connector.registry(), Envelope(
+            id=1, kind="request", method=method, params=params))
+        key = [k for k, v in params.items() if not isinstance(v, str)][0]
+        assert resp.error == {"code": INVALID_REQUEST, "message": f"{key} must be a string"}
+        assert connector.runs[RUN_ID].state is before
 
     def test_illegal_mitigation_name(self):
         connector = fresh_connector()
