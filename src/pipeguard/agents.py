@@ -13,7 +13,8 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Protocol
+from types import MappingProxyType
+from typing import Mapping, Optional, Protocol
 
 from .env import (
     AgentRole,
@@ -21,7 +22,6 @@ from .env import (
     ConfigError,
     EnvState,
     KIND_TO_ROLE,
-    MitigationAction,
     ObservationSignal,
     PipelineStage,
     VulnerabilityClass,
@@ -39,7 +39,6 @@ class Finding:
     stage: PipelineStage
     confidence: float
     evidence: tuple[str, ...]
-    note: str = ""
 
     def __post_init__(self):
         if not (0.0 <= self.confidence <= 1.0):
@@ -52,14 +51,9 @@ class Finding:
 class Assessment:
     verdict: Optional[VulnerabilityClass]
     severity: float
-    candidate_actions: tuple[MitigationAction, ...]
     rationale: str
 
     def __post_init__(self):
-        if self.verdict is None and tuple(self.candidate_actions) != (
-            MitigationAction.ALLOW_CONTINUE,
-        ):
-            raise ContractViolation("benign assessment must propose AllowContinue only")
         if self.verdict is not None and not self.rationale:
             raise ContractViolation("non-benign assessment requires a rationale")
 
@@ -67,7 +61,6 @@ class Assessment:
 BENIGN_ASSESSMENT = Assessment(
     verdict=None,
     severity=0.0,
-    candidate_actions=(MitigationAction.ALLOW_CONTINUE,),
     rationale="",
 )
 
@@ -119,35 +112,16 @@ def analyze(role: AgentRole, signals: list[ObservationSignal]) -> list[Finding]:
                     stage=sig.stage,
                     confidence=rule.confidence,
                     evidence=(rule.token,),
-                    note=f"{rule.token} in {sig.kind.value}",
                 ))
     return findings
 
 
 # -- reasoning ---------------------------------------------------------------
 
-CANDIDATE_ACTIONS = {
-    VulnerabilityClass.INJECTION: (
-        MitigationAction.BLOCK_BUILD,
-        MitigationAction.OPEN_GUARD_PULL_REQUEST,
-        MitigationAction.REQUEST_REVIEW,
-    ),
-    VulnerabilityClass.INSECURE_DESERIALIZATION: (
-        MitigationAction.BLOCK_BUILD,
-        MitigationAction.QUARANTINE_DEPENDENCY,
-        MitigationAction.REQUEST_REVIEW,
-    ),
-    VulnerabilityClass.BROKEN_ACCESS_CONTROL: (
-        MitigationAction.REVOKE_CREDENTIALS,
-        MitigationAction.BLOCK_BUILD,
-        MitigationAction.REQUEST_REVIEW,
-    ),
-    VulnerabilityClass.MISCONFIGURATION: (
-        MitigationAction.APPLY_CONFIG_PATCH,
-        MitigationAction.BLOCK_BUILD,
-        MitigationAction.REQUEST_REVIEW,
-    ),
-}
+# A fused class probability at or above this is a verdict.
+FUSION_THRESHOLD = 0.5
+# Odds multiplier for a class whose findings span two or more stages.
+CROSS_STAGE_FACTOR = 1.5
 
 
 class Reasoner(Protocol):
@@ -172,7 +146,7 @@ def cross_stage_boost(p: float, factor: float) -> float:
     return odds / (1.0 + odds)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleBasedReasoner:
     """Deterministic stand-in for the language-model reasoning layer.
 
@@ -182,8 +156,6 @@ class RuleBasedReasoner:
     implemented here.
     """
 
-    threshold: float = 0.5
-    cross_stage_factor: float = 1.5
     correlation_enabled: bool = True
 
     def reason(self, findings: list[Finding]) -> Assessment:
@@ -201,10 +173,10 @@ class RuleBasedReasoner:
             p = noisy_or(f.confidence for f in group)
             stages = {f.stage for f in group}
             if self.correlation_enabled and len(stages) >= 2:
-                p = cross_stage_boost(p, self.cross_stage_factor)
+                p = cross_stage_boost(p, CROSS_STAGE_FACTOR)
             if p > best_p:
                 best, best_p = vc, p
-        if best is None or best_p < self.threshold:
+        if best is None or best_p < FUSION_THRESHOLD:
             return BENIGN_ASSESSMENT
         group = by_class[best]
         evidence = sorted({tok for f in group for tok in f.evidence})
@@ -217,7 +189,6 @@ class RuleBasedReasoner:
         return Assessment(
             verdict=best,
             severity=min(best_p, 1.0),
-            candidate_actions=CANDIDATE_ACTIONS[best],
             rationale=rationale,
         )
 
@@ -254,23 +225,16 @@ class GraphNode:
 
 @dataclass(frozen=True)
 class GraphEdge:
-    src: str
     dst: str
     guard: Guard
 
 
 @dataclass(frozen=True)
 class ExecutionGraph:
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
+    nodes: Mapping[str, GraphNode]
+    edges: Mapping[str, tuple[GraphEdge, ...]]  # source id -> out-edges in spec order
     entry: str
     max_visits_per_node: int
-
-    def node(self, node_id: str) -> GraphNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
 
 
 _GRAPH_FIELDS = {"entry": str, "max_visits_per_node": int, "nodes": list, "edges": list}
@@ -284,29 +248,29 @@ def build_graph(spec: dict) -> ExecutionGraph:
     check_fields(spec, _GRAPH_FIELDS, "graph", required=("entry", "nodes"))
     for n in spec["nodes"]:
         check_fields(n, _NODE_FIELDS, "graph node", required=("id", "type"))
-    nodes = tuple(
-        GraphNode(id=n["id"], kind=n["type"],
-                  role=AgentRole(n["role"]) if "role" in n else None)
+    ids = [n["id"] for n in spec["nodes"]]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("duplicate node ids in graph spec")
+    nodes = MappingProxyType({
+        n["id"]: GraphNode(id=n["id"], kind=n["type"],
+                           role=AgentRole(n["role"]) if "role" in n else None)
         for n in spec["nodes"]
-    )
+    })
     entry = spec["entry"]
     max_visits = spec.get("max_visits_per_node", 1)
-    ids = {n.id for n in nodes}
-    if len(ids) != len(nodes):
-        raise ConfigError("duplicate node ids in graph spec")
-    for n in nodes:
+    for n in nodes.values():
         if n.kind == "agent" and n.role is None:
             raise ConfigError(f"agent node {n.id} is missing a role")
-    if entry not in ids:
+    if entry not in nodes:
         raise ConfigError(f"entry node {entry!r} does not exist")
     if max_visits < 1:
         raise ConfigError("max_visits_per_node must be positive")
-    edges = []
+    edges: dict[str, list[GraphEdge]] = {node_id: [] for node_id in nodes}
     for e in spec.get("edges", []):
         check_fields(e, _EDGE_FIELDS, "graph edge", required=("from", "to"))
         src, dst = e["from"], e["to"]
         for endpoint in (src, dst):
-            if endpoint not in ids:
+            if endpoint not in nodes:
                 raise ConfigError(f"edge references unknown node {endpoint!r}")
         g = e.get("guard")
         if g is None:
@@ -318,11 +282,15 @@ def build_graph(spec: dict) -> ExecutionGraph:
                 min_confidence=g.get("min_confidence", 0.0),
                 min_count=g.get("min_count", 1),
             )
-        edges.append(GraphEdge(src, dst, guard))
-    return ExecutionGraph(nodes, tuple(edges), entry, max_visits)
+        edges[src].append(GraphEdge(dst, guard))
+    # Read-only mappings: a packaged graph is one object shared by every caller.
+    out_edges = MappingProxyType({src: tuple(out) for src, out in edges.items()})
+    return ExecutionGraph(nodes, out_edges, entry, max_visits)
 
 
+@functools.cache
 def _packaged_graph(name: str) -> ExecutionGraph:
+    """A packaged graph, parsed once per process."""
     text = resources.files("pipeguard.data").joinpath(name).read_text()
     return build_graph(json.loads(text))
 
@@ -357,16 +325,14 @@ def dispatch(graph: ExecutionGraph, state: EnvState, reasoner: Reasoner) -> Disp
     current = graph.entry
     while True:
         visits[current] = visits.get(current, 0) + 1
-        node = graph.node(current)
+        node = graph.nodes[current]
         if node.kind == "decision":
             break
         got = analyze(node.role, observe(state, node.role))
         findings.extend(got)
         activations.append((node.role, tuple(got)))
         nxt = None
-        for edge in graph.edges:
-            if edge.src != current:
-                continue
+        for edge in graph.edges[current]:
             if visits.get(edge.dst, 0) >= graph.max_visits_per_node:
                 continue
             if edge.guard.fires(findings):

@@ -22,6 +22,7 @@ from .env import (
     PipelineEnv,
     check_fields,
     env_config_from_dict,
+    load_json,
     load_scenarios,
     scenario_to_dict,
     stage_name,
@@ -43,7 +44,7 @@ def handles_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ConfigError, OSError) as exc:
             _fail(EXIT_CONFIG, str(exc))
         except ContractViolation as exc:
             _fail(EXIT_CONTRACT, str(exc))
@@ -56,8 +57,7 @@ def handles_errors(fn):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     check_fields(doc, dict.fromkeys(("env", "train", "evaluate"), dict), "config file")
     return doc
 
@@ -245,10 +245,7 @@ def evaluate(arm, suite_path, policy_path, episodes, disable_csv, config_path,
 @handles_errors
 def compare(reports, out_dir):
     """Build per-class F1, MTTM and overhead tables from report files."""
-    loaded = []
-    for path in reports:
-        with open(path, encoding="utf-8") as fh:
-            loaded.append(evaluation.MetricsReport.from_dict(json.load(fh)))
+    loaded = [evaluation.MetricsReport.from_dict(load_json(path)) for path in reports]
     tables = evaluation.compare(loaded)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -204,9 +204,18 @@ def stage_name(stage: PipelineStage) -> str:
     return _STAGE_NAMES_REV[stage.name]
 
 
+def load_json(path: str):
+    """Parse a UTF-8 JSON file. Bad UTF-8, bad JSON, integers too long to
+    convert and nesting too deep to parse are each a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_scenarios(path: str) -> list[AttackScenario]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json(path)
     check_value(data, list, "scenario file")
     scenarios = [scenario_from_dict(obj) for obj in data]
     seen: set[str] = set()
@@ -353,8 +362,6 @@ class EnvConfig:
     reward: RewardParams = field(default_factory=RewardParams)
     max_steps_per_stage: int = 1
     step_minutes: float = 3.0
-    require_attacks: bool = False
-    allow_multiple_attacks: bool = True
     decoy_probability: float = 0.25
     decoys_only_benign: bool = True
     delays: dict = field(default_factory=dict)          # action name -> minutes
@@ -374,9 +381,8 @@ class EnvConfig:
 
 
 _ENV_CONFIG_FIELDS = {
-    "reward": dict, "max_steps_per_stage": int, "step_minutes": float, "require_attacks": bool,
-    "allow_multiple_attacks": bool, "decoy_probability": float, "decoys_only_benign": bool,
-    "delays": dict, "acceptance": dict,
+    "reward": dict, "max_steps_per_stage": int, "step_minutes": float,
+    "decoy_probability": float, "decoys_only_benign": bool, "delays": dict, "acceptance": dict,
 }
 _REWARD_FIELDS = dict.fromkeys(RewardParams.__dataclass_fields__, float)
 _PER_ACTION_FIELDS = dict.fromkeys((a.name for a in MitigationAction), float)
@@ -482,10 +488,6 @@ class PipelineEnv:
     def reset(self, scenarios: list[AttackScenario], seed: int) -> EnvState:
         for s in scenarios:
             s.validate()
-        if self.config.require_attacks and not scenarios:
-            raise ConfigError("configuration requires at least one attack scenario")
-        if not self.config.allow_multiple_attacks and len(scenarios) > 1:
-            raise ConfigError("multiple simultaneous attacks disabled by config")
         run_id = "run-" + hashlib.sha256(
             ("|".join(sorted(s.id for s in scenarios)) + f"|{seed}").encode()
         ).hexdigest()[:16]

@@ -275,6 +275,15 @@ class Decision(NamedTuple):
 ALLOW = Decision(None, MitigationAction.ALLOW_CONTINUE, 0.0)
 
 
+def _fixed_response(findings) -> Decision:
+    """The fixed action for the most confident finding (the first on ties),
+    or ALLOW when there is none."""
+    if not findings:
+        return ALLOW
+    top = max(findings, key=lambda f: f.confidence)
+    return Decision(top.hypothesis, FIXED_ACTION_MAP[top.hypothesis], top.confidence)
+
+
 class DecisionStack:
     """Maps an environment state to a Decision for one arm."""
 
@@ -291,15 +300,9 @@ class RuleBasedStack(DecisionStack):
     human_gated = True
 
     def decide(self, state, prior_alerts):
-        best = None
-        best_conf = 0.0
-        for role in AgentRole:
-            for f in analyze(role, observe(state, role)):
-                if f.confidence >= STRONG_RULE_THRESHOLD and f.confidence > best_conf:
-                    best, best_conf = f.hypothesis, f.confidence
-        if best is None:
-            return ALLOW
-        return Decision(best, FIXED_ACTION_MAP[best], best_conf)
+        return _fixed_response([f for role in AgentRole
+                                for f in analyze(role, observe(state, role))
+                                if f.confidence >= STRONG_RULE_THRESHOLD])
 
 
 # Attack classes whose payload changes artifact bytes; a digest comparison
@@ -341,11 +344,9 @@ class PolicyStack(DecisionStack):
             raise ConfigError(f"policy actions must be {list(DefenseEpisodeEnv.action_labels)}")
         self.policy = policy
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.graph = full_sweep_graph()
 
     def decide(self, state, prior_alerts):
-        trace = dispatch(self.graph, state, self.reasoner)
-        assessment = trace.assessment
+        assessment = dispatch(full_sweep_graph(), state, self.reasoner).assessment
         sid = learning.encode_state(state, assessment, prior_alerts)
         action = MitigationAction(self.policy.greedy(sid))
         return Decision(assessment.verdict, action, assessment.severity)
@@ -359,22 +360,16 @@ class PlaybookStack(DecisionStack):
 
     def __init__(self, correlation: bool = True):
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.graph = full_sweep_graph()
 
     def decide(self, state, prior_alerts):
-        trace = dispatch(self.graph, state, self.reasoner)
+        trace = dispatch(full_sweep_graph(), state, self.reasoner)
         assessment = trace.assessment
         if assessment.verdict is not None:
             return Decision(assessment.verdict,
                             FIXED_ACTION_MAP[assessment.verdict],
                             assessment.severity)
         # No fused verdict: the static playbook still reacts to any finding.
-        findings = [f for _, fs in trace.activations for f in fs]
-        if findings:
-            top = max(findings, key=lambda f: f.confidence)
-            return Decision(top.hypothesis, FIXED_ACTION_MAP[top.hypothesis],
-                            top.confidence)
-        return ALLOW
+        return _fixed_response([f for _, fs in trace.activations for f in fs])
 
 
 def _build_stack(arm: BaselineKind, policy: Optional[learning.Policy],
@@ -587,13 +582,12 @@ class DefenseEpisodeEnv:
         self.seed = seed
         self.pipeline = PipelineEnv(env_config or EnvConfig())
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
-        self.graph = full_sweep_graph()
         self._episode = 0
         self._state: Optional[EnvState] = None
         self._prior_alerts = 0
 
     def _encode(self) -> int:
-        trace = dispatch(self.graph, self._state, self.reasoner)
+        trace = dispatch(full_sweep_graph(), self._state, self.reasoner)
         self._last_assessment = trace.assessment
         return learning.encode_state(self._state, trace.assessment,
                                      self._prior_alerts)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .env import ConfigError, EnvState, check_fields
+from .env import ConfigError, EnvState, check_fields, load_json
 from .agents import Assessment, VulnerabilityClass
 
 ENCODING_VERSION = 1
@@ -185,8 +185,7 @@ _POLICY_FIELDS = {"kind": {"tabular-greedy", "linear-softmax"}, "encoding_versio
 
 
 def load_policy(path: str) -> Policy:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     check_fields(doc, _POLICY_FIELDS, "policy", required=_POLICY_FIELDS)
     if doc["encoding_version"] != ENCODING_VERSION:
         raise ConfigError(f"policy encoding_version must be {ENCODING_VERSION}")

@@ -29,8 +29,6 @@ INVALID_REQUEST = -32600
 UNKNOWN_RUN = -32001
 ILLEGAL_ACTION = -32002
 
-KNOWN_METHODS = ("fetch_logs", "fetch_artifact", "trigger_action", "issue_mitigation")
-
 _KEY_ORDER = ("version", "id", "kind", "method", "params", "result", "error")
 _OBJECT_OR_NULL = (dict, type(None))
 
@@ -162,7 +160,6 @@ def _str_param(params: dict, key: str, default: Optional[str] = None) -> Optiona
 class RunHandle:
     env: PipelineEnv
     state: EnvState
-    last_outcome: Optional[dict] = None
 
 
 class SimulatedConnector:

@@ -24,7 +24,6 @@ from pipeguard.env import (
     AttackScenario,
     ConfigError,
     ContractViolation,
-    MitigationAction,
     ObservationSignal,
     PipelineEnv,
     PipelineStage,
@@ -82,6 +81,12 @@ class TestAgents:
         assert roles == set(AgentRole)
         # Parsed once per process, into a table no caller can change.
         assert default_rules() is rules and isinstance(rules, tuple)
+        # Each packaged graph is parsed once per process, too, into
+        # mappings no caller can change.
+        graph = full_sweep_graph()
+        assert full_sweep_graph() is graph
+        with pytest.raises(TypeError):
+            graph.nodes["extra"] = graph.nodes[graph.entry]
 
     def test_finding_contract(self):
         with pytest.raises(ContractViolation):
@@ -144,11 +149,9 @@ class TestReasoner:
         assert "tok" in out.rationale
         assert "Injection" in out.rationale
 
-    def test_benign_assessment_contract(self):
+    def test_verdict_requires_rationale(self):
         with pytest.raises(ContractViolation):
-            Assessment(verdict=None, severity=0.0,
-                       candidate_actions=(MitigationAction.BLOCK_BUILD,),
-                       rationale="")
+            Assessment(verdict=VulnerabilityClass.INJECTION, severity=0.9, rationale="")
 
 
 class TestGuards:

@@ -138,6 +138,26 @@ class TestEvaluate:
         assert doc["disabled"] == ["ledger"]
         assert doc["confusion_identical"] is True
 
+    # The arms and ablations the golden outputs leave out: the policy stack
+    # without cross-stage correlation, the playbook stack, and the reasoner
+    # with correlation switched off.
+    @pytest.mark.parametrize("args, digests", [
+        (["--arm", "RLOnly"], {
+            "report.json": "5a26a81909284135062206541dadba9faa51fa6faa5ce3bf7d7a73e7bde68306",
+            "records.json": "791f4d8d226990d2393313c7b8a3997de1311e8dc88c97dcc62e7b4c8762bf18"}),
+        (["--arm", "Proposed", "--disable", "rl"], {
+            "ablation.json": "8b24fb3ae2dae59dc58a792c6ac26f989146da2a3e6f03064ce4745f59e2040c"}),
+        (["--arm", "Proposed", "--disable", "reasoner"], {
+            "ablation.json": "3bdb7c500f8cf489ffb7ae3efdc6efe5da60a1d9c874c7c99559acc122368a60"}),
+    ], ids=["rl-only", "no-rl", "no-reasoner"])
+    def test_output_is_pinned(self, runner, tmp_path, policy_file, args, digests):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["evaluate", *args, "--policy", policy_file,
+                                      "--episodes", "200", "--seed", "7", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
     def test_disable_on_baseline_arm_rejected(self, runner, tmp_path):
         result = runner.invoke(main, [
             "evaluate", "--arm", "RuleBased", "--disable", "rl",
@@ -262,6 +282,11 @@ class TestSuiteCommand:
 DIRECTORY = object()
 OUT = object()
 
+# JSON that Python's parser rejects: an integer past its 4300-digit limit,
+# and nesting past the recursion limit.
+HUGE_INT = b"1" * 5000
+DEEP_LIST = b"[" * 100000 + b"]" * 100000
+
 SCENARIO = {"id": "s", "class": "Injection", "stage": "SourceManagement",
             "payload": ["exec_untrusted_input"], "syntactic_detectable": True,
             "semantic_detectable": False, "severity": 0.5}
@@ -344,6 +369,16 @@ MALFORMED = [
      "report per_class Injection field f1 must be a finite number"),
     ("config-directory", simulate_config(DIRECTORY), "Is a directory"),
     ("config-not-utf8", simulate_config(b"\xff\xfe{}"), "can't decode"),
+    ("config-huge-int", simulate_config(b'{"env": {"max_steps_per_stage": ' + HUGE_INT + b"}}"),
+     "Exceeds the limit (4300 digits)"),
+    ("scenarios-deep-list", ["simulate", "--scenarios", DEEP_LIST],
+     "maximum recursion depth exceeded"),
+    ("policy-huge-int", ["simulate", "--policy", HUGE_INT], "Exceeds the limit (4300 digits)"),
+    ("compare-deep-list", ["compare", DEEP_LIST, report_doc(), "--out", OUT],
+     "maximum recursion depth exceeded"),
+    ("env-removed-fields", simulate_config({"env": {"require_attacks": True,
+                                                    "allow_multiple_attacks": False}}),
+     "unknown environment config fields: ['allow_multiple_attacks', 'require_attacks']"),
 ]
 
 
@@ -403,8 +438,6 @@ _ENV_VALUES = {
                                                "gamma"]), _NUMBERS, max_size=2),
     "max_steps_per_stage": st.integers(-1, 3),
     "step_minutes": _NUMBERS,
-    "require_attacks": st.booleans(),
-    "allow_multiple_attacks": st.booleans(),
     "decoy_probability": _NUMBERS,
     "decoys_only_benign": st.booleans(),
     "delays": _ACTION_MAP,

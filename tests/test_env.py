@@ -401,17 +401,6 @@ class TestDeveloperModel:
 
 
 class TestConfig:
-    def test_require_attacks(self):
-        env = PipelineEnv(EnvConfig(require_attacks=True))
-        with pytest.raises(ConfigError):
-            env.reset([], 1)
-
-    def test_single_attack_limit(self):
-        env = PipelineEnv(EnvConfig(allow_multiple_attacks=False))
-        s1, s2 = make_scenario(), make_scenario(id="s2")
-        with pytest.raises(ConfigError):
-            env.reset([s1, s2], 1)
-
     @pytest.mark.parametrize("doc, message", [
         ({"step_minutes": -1}, "step_minutes must be >= 0"),
         ({"decoy_probability": 1.5}, "decoy_probability must be in [0, 1]"),

@@ -53,9 +53,7 @@ class TestEncoding:
                             key = (stage_val, None, severity_bucket(0.0), prior)
                         else:
                             assessment = Assessment(
-                                verdict=verdict, severity=sev,
-                                candidate_actions=(MitigationAction.BLOCK_BUILD,),
-                                rationale="r")
+                                verdict=verdict, severity=sev, rationale="r")
                             key = (stage_val, verdict, severity_bucket(sev), prior)
                         sid = encode_state(st, assessment, prior)
                         assert 0 <= sid < N_STATES
