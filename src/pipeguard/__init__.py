@@ -2,7 +2,7 @@
 
 Modules:
     env        -- deterministic pipeline simulation and attack scenarios
-    agents     -- detection agents, reasoner, execution graph
+    agents     -- detection agents, reasoner, five-agent sweep
     learning   -- finite MDPs, value iteration, Q-learning, clipped-surrogate PG
     ledger     -- tamper-evident audit chain with quorum commits
     protocol   -- newline-delimited JSON message layer and connectors

@@ -1,10 +1,11 @@
-"""Specialized detection agents, the pluggable reasoner and the execution graph.
+"""Specialized detection agents, the pluggable reasoner and the agent sweep.
 
 Each agent is a pure function from its role's observable signals to findings,
 driven by a declarative rule table. A reasoner fuses the accumulated findings
 into a single assessment; the shipped implementation is deterministic
-rule-plus-correlation fusion (noisy-OR with a cross-stage bonus). Routing
-between agents is a small guarded graph with bounded loops.
+rule-plus-correlation fusion (noisy-OR with a cross-stage bonus). Every
+decision runs all five agents once, in pipeline order, so every class is
+observable.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from types import MappingProxyType
-from typing import Mapping, Optional, Protocol
+from typing import Optional, Protocol
 
 from .env import (
     AgentRole,
     ContractViolation,
-    ConfigError,
     EnvState,
     KIND_TO_ROLE,
     ObservationSignal,
@@ -193,118 +192,7 @@ class RuleBasedReasoner:
         )
 
 
-# -- execution graph -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Guard:
-    vuln_class: Optional[VulnerabilityClass] = None
-    min_confidence: float = 0.0
-    min_count: int = 1
-
-    def fires(self, findings: list[Finding]) -> bool:
-        count = 0
-        for f in findings:
-            if self.vuln_class is not None and f.hypothesis is not self.vuln_class:
-                continue
-            if f.confidence >= self.min_confidence:
-                count += 1
-        return count >= self.min_count
-
-
-# Unconditional edge.
-ALWAYS = Guard(min_count=0)
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    id: str
-    kind: str  # "agent" | "decision"
-    role: Optional[AgentRole] = None
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    dst: str
-    guard: Guard
-
-
-@dataclass(frozen=True)
-class ExecutionGraph:
-    nodes: Mapping[str, GraphNode]
-    edges: Mapping[str, tuple[GraphEdge, ...]]  # source id -> out-edges in spec order
-    entry: str
-    max_visits_per_node: int
-
-
-_GRAPH_FIELDS = {"entry": str, "max_visits_per_node": int, "nodes": list, "edges": list}
-_NODE_FIELDS = {"id": str, "type": {"agent", "decision"}, "role": _ROLE_NAMES}
-_EDGE_FIELDS = {"from": str, "to": str, "guard": dict}
-_GUARD_FIELDS = {"class": _CLASS_NAMES, "min_confidence": float, "min_count": int}
-
-
-def build_graph(spec: dict) -> ExecutionGraph:
-    """Validate a graph description into an ExecutionGraph."""
-    check_fields(spec, _GRAPH_FIELDS, "graph", required=("entry", "nodes"))
-    for n in spec["nodes"]:
-        check_fields(n, _NODE_FIELDS, "graph node", required=("id", "type"))
-    ids = [n["id"] for n in spec["nodes"]]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate node ids in graph spec")
-    nodes = MappingProxyType({
-        n["id"]: GraphNode(id=n["id"], kind=n["type"],
-                           role=AgentRole(n["role"]) if "role" in n else None)
-        for n in spec["nodes"]
-    })
-    entry = spec["entry"]
-    max_visits = spec.get("max_visits_per_node", 1)
-    for n in nodes.values():
-        if n.kind == "agent" and n.role is None:
-            raise ConfigError(f"agent node {n.id} is missing a role")
-    if entry not in nodes:
-        raise ConfigError(f"entry node {entry!r} does not exist")
-    if max_visits < 1:
-        raise ConfigError("max_visits_per_node must be positive")
-    edges: dict[str, list[GraphEdge]] = {node_id: [] for node_id in nodes}
-    for e in spec.get("edges", []):
-        check_fields(e, _EDGE_FIELDS, "graph edge", required=("from", "to"))
-        src, dst = e["from"], e["to"]
-        for endpoint in (src, dst):
-            if endpoint not in nodes:
-                raise ConfigError(f"edge references unknown node {endpoint!r}")
-        g = e.get("guard")
-        if g is None:
-            guard = ALWAYS
-        else:
-            check_fields(g, _GUARD_FIELDS, "graph guard")
-            guard = Guard(
-                vuln_class=VulnerabilityClass(g["class"]) if "class" in g else None,
-                min_confidence=g.get("min_confidence", 0.0),
-                min_count=g.get("min_count", 1),
-            )
-        edges[src].append(GraphEdge(dst, guard))
-    # Read-only mappings: a packaged graph is one object shared by every caller.
-    out_edges = MappingProxyType({src: tuple(out) for src, out in edges.items()})
-    return ExecutionGraph(nodes, out_edges, entry, max_visits)
-
-
-@functools.cache
-def _packaged_graph(name: str) -> ExecutionGraph:
-    """A packaged graph, parsed once per process."""
-    text = resources.files("pipeguard.data").joinpath(name).read_text()
-    return build_graph(json.loads(text))
-
-
-def default_graph() -> ExecutionGraph:
-    """The shipped escalation route: code analysis hands off to pipeline
-    monitoring when an injection pattern is present."""
-    return _packaged_graph("graph_default.json")
-
-
-def full_sweep_graph() -> ExecutionGraph:
-    """All five agents in pipeline order, then the decision node. Used by the
-    evaluation harness so every class is observable."""
-    return _packaged_graph("graph_full_sweep.json")
+# -- the agent sweep -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -313,32 +201,10 @@ class DispatchTrace:
     assessment: Assessment
 
 
-def dispatch(graph: ExecutionGraph, state: EnvState, reasoner: Reasoner) -> DispatchTrace:
-    """Walk the graph from its entry, collecting findings, and fuse them.
-
-    Guards are evaluated over all findings accumulated so far; the walk stops
-    at a decision node, when no guard fires, or at the per-node visit bound.
-    """
-    visits: dict[str, int] = {}
-    findings: list[Finding] = []
-    activations: list[tuple[AgentRole, tuple[Finding, ...]]] = []
-    current = graph.entry
-    while True:
-        visits[current] = visits.get(current, 0) + 1
-        node = graph.nodes[current]
-        if node.kind == "decision":
-            break
-        got = analyze(node.role, observe(state, node.role))
-        findings.extend(got)
-        activations.append((node.role, tuple(got)))
-        nxt = None
-        for edge in graph.edges[current]:
-            if visits.get(edge.dst, 0) >= graph.max_visits_per_node:
-                continue
-            if edge.guard.fires(findings):
-                nxt = edge.dst
-                break
-        if nxt is None:
-            break
-        current = nxt
-    return DispatchTrace(tuple(activations), reasoner.reason(findings))
+def dispatch(state: EnvState, reasoner: Reasoner) -> DispatchTrace:
+    """Run every agent once, in pipeline order, on what its role observes,
+    then fuse all their findings in that order."""
+    activations = tuple((role, tuple(analyze(role, observe(state, role))))
+                        for role in AgentRole)
+    findings = [f for _, got in activations for f in got]
+    return DispatchTrace(activations, reasoner.reason(findings))

@@ -110,6 +110,12 @@ def check_value(value, kind, name: str) -> None:
     if not ok:
         expected = f"one of {sorted(kind)}" if isinstance(kind, set) else _KIND_NAMES[kind]
         raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)[:40]}")
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{name} is not valid UTF-8, got "
+                              f"{json.dumps(value)[:40]}") from None
 
 
 def check_fields(obj, spec: dict, what: str, required=()) -> None:

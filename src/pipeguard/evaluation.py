@@ -25,7 +25,6 @@ from .agents import (
     RuleBasedReasoner,
     analyze,
     dispatch,
-    full_sweep_graph,
 )
 from .env import (
     AgentRole,
@@ -331,8 +330,7 @@ class ProvenanceStack(DecisionStack):
 
 
 class PolicyStack(DecisionStack):
-    """Dispatch through the execution graph, fuse findings, act greedily from
-    a trained policy."""
+    """Run the agent sweep, fuse findings, act greedily from a trained policy."""
 
     def __init__(self, policy: learning.Policy, correlation: bool = True):
         # A policy fits only the state and action spaces it was trained on.
@@ -346,7 +344,7 @@ class PolicyStack(DecisionStack):
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
 
     def decide(self, state, prior_alerts):
-        assessment = dispatch(full_sweep_graph(), state, self.reasoner).assessment
+        assessment = dispatch(state, self.reasoner).assessment
         sid = learning.encode_state(state, assessment, prior_alerts)
         action = MitigationAction(self.policy.greedy(sid))
         return Decision(assessment.verdict, action, assessment.severity)
@@ -362,7 +360,7 @@ class PlaybookStack(DecisionStack):
         self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
 
     def decide(self, state, prior_alerts):
-        trace = dispatch(full_sweep_graph(), state, self.reasoner)
+        trace = dispatch(state, self.reasoner)
         assessment = trace.assessment
         if assessment.verdict is not None:
             return Decision(assessment.verdict,
@@ -393,7 +391,7 @@ def _build_stack(arm: BaselineKind, policy: Optional[learning.Policy],
 
 def _plan_episode(seed: int, index: int, suite: list[AttackScenario],
                   benign_fraction: float) -> list[AttackScenario]:
-    if unit_draw("benign-slot", seed, index) < benign_fraction or not suite:
+    if unit_draw("benign-slot", seed, index) < benign_fraction:
         return []
     return [suite[index % len(suite)]]
 
@@ -587,7 +585,7 @@ class DefenseEpisodeEnv:
         self._prior_alerts = 0
 
     def _encode(self) -> int:
-        trace = dispatch(full_sweep_graph(), self._state, self.reasoner)
+        trace = dispatch(self._state, self.reasoner)
         self._last_assessment = trace.assessment
         return learning.encode_state(self._state, trace.assessment,
                                      self._prior_alerts)
@@ -618,6 +616,9 @@ def train_mitigation_policy(
     env_config: Optional[EnvConfig] = None,
     correlation: bool = True,
 ) -> learning.Policy:
+    if not suite:
+        raise ConfigError("scenario suite must be non-empty")
+
     def factory():
         return DefenseEpisodeEnv(suite, config.seed, env_config, correlation)
     return learning.train(factory, config)
@@ -679,7 +680,11 @@ def compare(reports: list[MetricsReport]) -> dict:
     suites = {r.suite for r in reports}
     if len(suites) > 1:
         raise ConfigError("reports come from different suites")
-    by_arm = {r.arm: r for r in reports}
+    by_arm: dict[str, MetricsReport] = {}
+    for r in reports:
+        if r.arm in by_arm:
+            raise ConfigError(f"two reports of arm {r.arm}")
+        by_arm[r.arm] = r
     arms = [a.value for a in ARM_ORDER if a.value in by_arm]
     f1_rows = []
     for vc in VulnerabilityClass:

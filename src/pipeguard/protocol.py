@@ -88,7 +88,10 @@ def encode_message(envelope: Envelope) -> bytes:
         value = getattr(envelope, key)
         if value is not None:
             doc[key] = value
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode() + b"\n"
+    # A lone surrogate (JSON "\ud800", which json.loads accepts) cannot be
+    # UTF-8 encoded; write it back as that JSON escape.
+    text = json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+    return text.encode("utf-8", "backslashreplace") + b"\n"
 
 
 def decode_message(frame: bytes) -> Envelope:

@@ -1,27 +1,22 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pipeguard.agents import (
-    ALWAYS,
     BENIGN_ASSESSMENT,
     Assessment,
     Finding,
-    Guard,
-    Rule,
     RuleBasedReasoner,
     analyze,
-    build_graph,
     cross_stage_boost,
-    default_graph,
     default_rules,
     dispatch,
-    full_sweep_graph,
     noisy_or,
     rules_from_list,
 )
 from pipeguard.env import (
     AgentRole,
-    AttackScenario,
     ConfigError,
     ContractViolation,
     ObservationSignal,
@@ -81,12 +76,6 @@ class TestAgents:
         assert roles == set(AgentRole)
         # Parsed once per process, into a table no caller can change.
         assert default_rules() is rules and isinstance(rules, tuple)
-        # Each packaged graph is parsed once per process, too, into
-        # mappings no caller can change.
-        graph = full_sweep_graph()
-        assert full_sweep_graph() is graph
-        with pytest.raises(TypeError):
-            graph.nodes["extra"] = graph.nodes[graph.entry]
 
     def test_finding_contract(self):
         with pytest.raises(ContractViolation):
@@ -154,94 +143,30 @@ class TestReasoner:
             Assessment(verdict=VulnerabilityClass.INJECTION, severity=0.9, rationale="")
 
 
-class TestGuards:
-    def test_guard_counts_matching_findings(self):
-        g = Guard(vuln_class=VulnerabilityClass.INJECTION,
-                  min_confidence=0.5, min_count=2)
-        assert not g.fires([finding(conf=0.9)])
-        assert g.fires([finding(conf=0.9), finding(conf=0.6)])
-        assert not g.fires([finding(conf=0.9), finding(conf=0.4)])
-
-    def test_always_guard(self):
-        assert ALWAYS.fires([])
-
-
 class TestGraph:
-    def test_unknown_node_reference_rejected(self):
-        spec = {
-            "entry": "a",
-            "nodes": [{"id": "a", "type": "agent", "role": "CodeAnalysis"}],
-            "edges": [{"from": "a", "to": "ghost"}],
-        }
-        with pytest.raises(ConfigError, match="ghost"):
-            build_graph(spec)
-
-    def test_missing_entry_rejected(self):
-        spec = {"entry": "nope",
-                "nodes": [{"id": "a", "type": "agent", "role": "CodeAnalysis"}]}
-        with pytest.raises(ConfigError):
-            build_graph(spec)
-
-    def test_agent_node_requires_role(self):
-        spec = {"entry": "a", "nodes": [{"id": "a", "type": "agent"}]}
-        with pytest.raises(ConfigError, match="missing a role"):
-            build_graph(spec)
-
-    def test_visit_bound_must_be_positive(self):
-        spec = {"entry": "a", "max_visits_per_node": 0,
-                "nodes": [{"id": "a", "type": "decision"}]}
-        with pytest.raises(ConfigError):
-            build_graph(spec)
-
-    @pytest.mark.parametrize("change", [
-        {"max_visits_per_node": "2"},
-        {"nodes": [{"id": "a", "type": "router"}]},
-        {"nodes": [{"id": 1, "type": "decision"}]},
-        {"edges": [{"from": "a", "to": "a", "guard": {"class": "Nope"}}]},
-        {"edges": [{"from": "a", "to": "a", "guard": {"min_count": 1.5}}]},
-        {"edges": [{"from": "a"}]},
-    ])
-    def test_malformed_spec_rejected(self, change):
-        spec = {"entry": "a", "nodes": [{"id": "a", "type": "decision"}], **change}
-        with pytest.raises(ConfigError):
-            build_graph(spec)
-
-    def test_default_graph_routes_injection_to_monitoring(self):
-        env = PipelineEnv()
-        attack = AttackScenario(
-            id="inj", vuln_class=VulnerabilityClass.INJECTION,
-            stage=PipelineStage.SOURCE_MANAGEMENT,
-            payload=("exec_untrusted_input",),
-            syntactic_detectable=True, semantic_detectable=False, severity=0.9,
-        )
-        state = env.reset([attack], 11)
-        trace = dispatch(default_graph(), state, RuleBasedReasoner())
-        visited = [role for role, _ in trace.activations]
-        assert visited == [AgentRole.CODE_ANALYSIS, AgentRole.CICD_MONITORING]
-        assert trace.assessment.verdict is VulnerabilityClass.INJECTION
-
-    def test_default_graph_benign_run_stops_at_first_agent(self):
-        env = PipelineEnv()
-        state = env.reset([], 11)
-        trace = dispatch(default_graph(), state, RuleBasedReasoner())
-        assert [role for role, _ in trace.activations] == [AgentRole.CODE_ANALYSIS]
-        assert trace.assessment.verdict is None
+    """The agent graph is one fixed route: every agent once, in pipeline
+    order, then the decision."""
 
     def test_full_sweep_visits_all_agents_once(self):
         env = PipelineEnv()
         state = env.reset([], 11)
-        trace = dispatch(full_sweep_graph(), state, RuleBasedReasoner())
+        trace = dispatch(state, RuleBasedReasoner())
         assert [role for role, _ in trace.activations] == list(AgentRole)
 
-    def test_loop_bounded_by_max_visits(self):
-        spec = {
-            "entry": "a",
-            "max_visits_per_node": 3,
-            "nodes": [{"id": "a", "type": "agent", "role": "CodeAnalysis"}],
-            "edges": [{"from": "a", "to": "a"}],
-        }
-        graph = build_graph(spec)
-        env = PipelineEnv()
-        state = env.reset([], 11)
-        trace = dispatch(graph, state, RuleBasedReasoner())
-        assert len(trace.activations) == 3
+        # Attack signals for three agents, listed against pipeline order.
+        attack_signals = (
+            sig("wildcard_admin", SignalKind.PERMISSION_RECORD, PipelineStage.BUILD),
+            sig("typosquat_pkg", SignalKind.SBOM_ENTRY,
+                PipelineStage.DEPENDENCY_RESOLUTION),
+            sig("exec_untrusted_input shell_metachar_concat"),
+        )
+        state = replace(state, signals=state.signals + attack_signals)
+        reasoner = RuleBasedReasoner()
+        trace = dispatch(state, reasoner)
+        assert [role for role, _ in trace.activations] == list(AgentRole)
+        findings = [f for _, got in trace.activations for f in got]
+        assert [f.evidence for f in findings] == [
+            ("exec_untrusted_input",), ("shell_metachar_concat",), ("typosquat_pkg",),
+            ("wildcard_admin",)]
+        assert trace.assessment == reasoner.reason(findings)
+        assert trace.assessment.verdict is VulnerabilityClass.INJECTION

@@ -266,6 +266,21 @@ class TestProtocolCommand:
         assert json.loads(result.output)["error"] == {
             "code": -32600, "message": "run_id must be a string"}
 
+    @pytest.mark.parametrize("method, params, answer", [
+        ("fetch_logs", '{"run_id":"\\ud800"}',
+         '"error":{"code":-32001,"message":"unknown run: \\ud800"}'),
+        ("fetch_artifact", '{"run_id":"demo","name":"\\ud800"}',
+         '"artifact":{"name":"\\ud800",'),
+    ], ids=["fetch_logs", "fetch_artifact"])
+    def test_lone_surrogate_gets_in_band_answer(self, runner, tmp_path, method, params,
+                                                answer):
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text('{"version":"1.0","id":1,"kind":"request",'
+                          f'"method":"{method}","params":{params}}}\n')
+        result = runner.invoke(main, ["protocol", "replay", "--frames", str(frames)])
+        assert result.exit_code == 0, result.output
+        assert answer in result.output
+
 
 class TestSuiteCommand:
     def test_suite_dump(self, runner, tmp_path):
@@ -379,6 +394,14 @@ MALFORMED = [
     ("env-removed-fields", simulate_config({"env": {"require_attacks": True,
                                                     "allow_multiple_attacks": False}}),
      "unknown environment config fields: ['allow_multiple_attacks', 'require_attacks']"),
+    ("scenario-lone-surrogate", ["simulate", "--scenarios", [{**SCENARIO, "id": "\ud800"}]],
+     'scenario field id is not valid UTF-8, got "\\ud800"'),
+    ("suite-lone-surrogate", ["train", "--suite", [{**SCENARIO, "payload": ["\udfff"]}],
+                              "--out", OUT], "scenario field payload[0] is not valid UTF-8"),
+    ("train-empty-suite", ["train", "--suite", [], "--out", OUT],
+     "scenario suite must be non-empty"),
+    ("compare-same-arm", ["compare", report_doc(), report_doc(), "--out", OUT],
+     "two reports of arm Proposed"),
 ]
 
 

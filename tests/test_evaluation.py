@@ -285,6 +285,11 @@ class TestCompare:
         with pytest.raises(ConfigError, match="different suites"):
             compare([a, b])
 
+    def test_repeated_arm_rejected(self):
+        a = self.fake_report(BaselineKind.RULE_BASED, 1, 1, 1)
+        with pytest.raises(ConfigError, match="two reports of arm RuleBased"):
+            compare([a, self.fake_report(BaselineKind.PROPOSED, 1, 1, 1), a])
+
     def test_table_structure_and_arm_order(self):
         tables = compare(self.all_reports())
         assert [row["class"] for row in tables["f1"]] == \

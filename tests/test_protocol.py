@@ -81,6 +81,13 @@ class TestFraming:
         keys = list(json.loads(raw).keys())
         assert keys == ["version", "id", "kind", "method", "params"]
 
+    def test_lone_surrogate_is_written_as_json_escape(self):
+        env = Envelope(id=1, kind="response", result={"name": "\ud800 \u00e9"})
+        frame = encode_message(env)
+        # Only the character UTF-8 cannot hold is escaped.
+        assert frame.endswith(b'"result":{"name":"\\ud800 \xc3\xa9"}}\n')
+        assert decode_message(frame) == env
+
     def test_round_trip(self):
         env = Envelope(id=3, kind="response", result={"ok": True})
         assert decode_message(encode_message(env)) == env
