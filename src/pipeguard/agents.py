@@ -1,11 +1,11 @@
-"""Specialized detection agents, the pluggable reasoner and the agent sweep.
+"""Specialized detection agents, the reasoner and the agent sweep.
 
 Each agent is a pure function from its role's observable signals to findings,
-driven by a declarative rule table. A reasoner fuses the accumulated findings
-into a single assessment; the shipped implementation is deterministic
-rule-plus-correlation fusion (noisy-OR with a cross-stage bonus). Every
-decision runs all five agents once, in pipeline order, so every class is
-observable.
+driven by a declarative rule table. The reasoner fuses the accumulated
+findings into a single assessment by deterministic rule-plus-correlation
+fusion (noisy-OR with a cross-stage bonus). Every decision runs all five
+agents once, in pipeline order, so every class is observable; a run's
+`Detector` does that sweep once per distinct observation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Protocol
+from typing import Optional, Sequence
 
 from .env import (
     AgentRole,
@@ -123,13 +123,6 @@ FUSION_THRESHOLD = 0.5
 CROSS_STAGE_FACTOR = 1.5
 
 
-class Reasoner(Protocol):
-    def reason(self, findings: list[Finding]) -> Assessment:
-        """Fuse findings into one assessment. Must be a pure function of
-        `findings`: equal findings give an equal assessment, whatever run or
-        state they came from, so a caller may memoize on them."""
-
-
 def noisy_or(confidences) -> float:
     p = 1.0
     for c in confidences:
@@ -151,13 +144,15 @@ class RuleBasedReasoner:
 
     Fuses per-class finding confidences with noisy-OR; findings of the same
     class seen in two or more distinct stages get an odds-space correlation
-    bonus. The external-model adapter slot shares this interface but is not
-    implemented here.
+    bonus.
     """
 
     correlation_enabled: bool = True
 
-    def reason(self, findings: list[Finding]) -> Assessment:
+    def reason(self, findings: Sequence[Finding]) -> Assessment:
+        """Fuse findings into one assessment. A pure function of `findings`:
+        equal findings give an equal assessment, whatever run or state they
+        came from, which is what lets `Detector` memoize the sweep."""
         if not findings:
             return BENIGN_ASSESSMENT
         by_class: dict[VulnerabilityClass, list[Finding]] = {}
@@ -197,14 +192,31 @@ class RuleBasedReasoner:
 
 @dataclass(frozen=True)
 class DispatchTrace:
-    activations: tuple[tuple[AgentRole, tuple[Finding, ...]], ...]
+    findings: tuple[Finding, ...]    # every agent's, in AgentRole order
     assessment: Assessment
 
 
-def dispatch(state: EnvState, reasoner: Reasoner) -> DispatchTrace:
+def dispatch(state: EnvState, reasoner: RuleBasedReasoner) -> DispatchTrace:
     """Run every agent once, in pipeline order, on what its role observes,
     then fuse all their findings in that order."""
-    activations = tuple((role, tuple(analyze(role, observe(state, role))))
-                        for role in AgentRole)
-    findings = [f for _, got in activations for f in got]
-    return DispatchTrace(activations, reasoner.reason(findings))
+    findings = tuple(f for role in AgentRole for f in analyze(role, observe(state, role)))
+    return DispatchTrace(findings, reasoner.reason(findings))
+
+
+class Detector:
+    """The agent sweep of one run or training call, memoized per distinct
+    observation: each signal's (stage, kind, content), in order, is all that
+    `dispatch` reads, as `observe` strips origin labels and `reason` is pure.
+    Measured at 352-508 entries per run (DQN and PPO training at 3000
+    episodes, every arm at 2000 episodes, seed 101)."""
+
+    def __init__(self, correlation: bool = True):
+        self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
+        self._traces: dict[tuple, DispatchTrace] = {}
+
+    def assess(self, state: EnvState) -> DispatchTrace:
+        key = tuple((s.stage, s.kind, s.content) for s in state.signals)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = dispatch(state, self.reasoner)
+        return trace

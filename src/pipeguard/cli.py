@@ -213,7 +213,7 @@ def evaluate(arm, suite_path, policy_path, episodes, disable_csv, config_path,
     policy = learning.load_policy(policy_path) if policy_path else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if disable_csv:
+    if disable_csv is not None:
         if kind is not evaluation.BaselineKind.PROPOSED:
             raise ConfigError("--disable applies to the Proposed arm only")
         disable = {part.strip() for part in disable_csv.split(",") if part.strip()}

@@ -21,11 +21,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import learning, ledger as ledger_mod
-from .agents import (
-    RuleBasedReasoner,
-    analyze,
-    dispatch,
-)
+# analyze, dispatch and observe go unused here; bench/tracing.py patches them here.
+from .agents import Detector, analyze, dispatch  # noqa: F401
 from .env import (
     AgentRole,
     AttackScenario,
@@ -67,6 +64,8 @@ DEFAULT_ARM_LATENCY = {
     BaselineKind.RL_ONLY: 6.0,
     BaselineKind.PROPOSED: 0.0,
 }
+# The arms whose actions a human reviews before they take effect.
+HUMAN_GATED = frozenset({BaselineKind.RULE_BASED, BaselineKind.PROVENANCE_ONLY})
 
 # Per-step analysis cost charged when computing benign build overhead.
 DEFAULT_ANALYSIS_COST = {
@@ -141,8 +140,7 @@ class EpisodeRecord:
     undefended_minutes: float
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        return doc
+        return asdict(self)
 
 
 @dataclass
@@ -283,24 +281,18 @@ def _fixed_response(findings) -> Decision:
     return Decision(top.hypothesis, FIXED_ACTION_MAP[top.hypothesis], top.confidence)
 
 
-class DecisionStack:
-    """Maps an environment state to a Decision for one arm."""
-
-    human_gated = False
-
-    def decide(self, state: EnvState, prior_alerts: int) -> Decision:
-        raise NotImplementedError
+# Each arm's stack maps a state to a Decision by `decide(state, prior_alerts)`.
 
 
-class RuleBasedStack(DecisionStack):
+class RuleBasedStack:
     """Syntactic rule matches above a confidence floor, fixed action map,
     human review before actuation."""
 
-    human_gated = True
+    def __init__(self):
+        self.detector = Detector()
 
     def decide(self, state, prior_alerts):
-        return _fixed_response([f for role in AgentRole
-                                for f in analyze(role, observe(state, role))
+        return _fixed_response([f for f in self.detector.assess(state).findings
                                 if f.confidence >= STRONG_RULE_THRESHOLD])
 
 
@@ -313,12 +305,10 @@ ARTIFACT_ALTERING = frozenset({
 })
 
 
-class ProvenanceStack(DecisionStack):
+class ProvenanceStack:
     """Detects only artifact digest mismatches at packaging/deployment; the
     harness reveals the mismatch class from ground truth, as a real digest
     check would identify the tampered artifact."""
-
-    human_gated = True
 
     def decide(self, state, prior_alerts):
         if state.stage < PipelineStage.ARTIFACT_PACKAGING:
@@ -329,7 +319,7 @@ class ProvenanceStack(DecisionStack):
         return ALLOW
 
 
-class PolicyStack(DecisionStack):
+class PolicyStack:
     """Run the agent sweep, fuse findings, act greedily from a trained policy."""
 
     def __init__(self, policy: learning.Policy, correlation: bool = True):
@@ -341,37 +331,35 @@ class PolicyStack(DecisionStack):
         if policy.actions != DefenseEpisodeEnv.action_labels:
             raise ConfigError(f"policy actions must be {list(DefenseEpisodeEnv.action_labels)}")
         self.policy = policy
-        self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
+        self.detector = Detector(correlation)
 
     def decide(self, state, prior_alerts):
-        assessment = dispatch(state, self.reasoner).assessment
+        assessment = self.detector.assess(state).assessment
         sid = learning.encode_state(state, assessment, prior_alerts)
         action = MitigationAction(self.policy.greedy(sid))
         return Decision(assessment.verdict, action, assessment.severity)
 
 
-class PlaybookStack(DecisionStack):
+class PlaybookStack:
     """Reasoner verdicts plus any raw finding trigger a fixed playbook action
     (the learned policy is disabled)."""
 
-    human_gated = False
-
     def __init__(self, correlation: bool = True):
-        self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
+        self.detector = Detector(correlation)
 
     def decide(self, state, prior_alerts):
-        trace = dispatch(state, self.reasoner)
+        trace = self.detector.assess(state)
         assessment = trace.assessment
         if assessment.verdict is not None:
             return Decision(assessment.verdict,
                             FIXED_ACTION_MAP[assessment.verdict],
                             assessment.severity)
         # No fused verdict: the static playbook still reacts to any finding.
-        return _fixed_response([f for _, fs in trace.activations for f in fs])
+        return _fixed_response(trace.findings)
 
 
 def _build_stack(arm: BaselineKind, policy: Optional[learning.Policy],
-                 options: ExperimentOptions) -> DecisionStack:
+                 options: ExperimentOptions):
     if arm is BaselineKind.RULE_BASED:
         return RuleBasedStack()
     if arm is BaselineKind.PROVENANCE_ONLY:
@@ -421,10 +409,9 @@ def episode_steps(decide: Callable[[EnvState, int], Decision],
         state = transition.next_state
 
 
-def _episode_record(steps: list[Step], human_gated: bool,
-                    scenarios: list[AttackScenario], pipeline: PipelineEnv,
-                    ep_seed: int, index: int, options: ExperimentOptions,
-                    arm: BaselineKind) -> EpisodeRecord:
+def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
+                    pipeline: PipelineEnv, ep_seed: int, index: int,
+                    options: ExperimentOptions, arm: BaselineKind) -> EpisodeRecord:
     injected_clock = dict(steps[0].pre_state.injection_clock)
     predicted: set[str] = set()
     mitigations: list[Mitigation] = []
@@ -450,7 +437,7 @@ def _episode_record(steps: list[Step], human_gated: bool,
                 injected_clock=injected_clock.get(attack.id, 0.0),
                 mitigated_clock=pre_state.clock_minutes,
                 action=action.name,
-                autonomous=(not human_gated
+                autonomous=(arm not in HUMAN_GATED
                             and action is not MitigationAction.REQUEST_REVIEW
                             and not requested_review),
                 rollback_ok=pipeline.rollback_succeeds(
@@ -544,8 +531,8 @@ def run_experiment(
         scenarios = _plan_episode(seed, i, suite, options.benign_fraction)
         ep_seed = episode_seed(seed, i)
         steps = list(episode_steps(stack.decide, pipeline, scenarios, ep_seed))
-        record = _episode_record(steps, stack.human_gated, scenarios, pipeline,
-                                 ep_seed, i, options, arm)
+        record = _episode_record(steps, scenarios, pipeline, ep_seed, i,
+                                 options, arm)
         if artifacts is not None:
             entries = _ledger_entries(steps, global_clock)
             ledger_mod.append_block(
@@ -579,15 +566,14 @@ class DefenseEpisodeEnv:
         self.suite = suite
         self.seed = seed
         self.pipeline = PipelineEnv(env_config or EnvConfig())
-        self.reasoner = RuleBasedReasoner(correlation_enabled=correlation)
+        self.detector = Detector(correlation)
         self._episode = 0
         self._state: Optional[EnvState] = None
         self._prior_alerts = 0
 
     def _encode(self) -> int:
-        trace = dispatch(self._state, self.reasoner)
-        self._last_assessment = trace.assessment
-        return learning.encode_state(self._state, trace.assessment,
+        self._last_assessment = self.detector.assess(self._state).assessment
+        return learning.encode_state(self._state, self._last_assessment,
                                      self._prior_alerts)
 
     def reset(self, rng) -> int:
@@ -635,6 +621,8 @@ def ablation(
     options: Optional[ExperimentOptions] = None,
 ) -> dict:
     """Re-run the full stack with components disabled; report metric deltas."""
+    if not disable:
+        raise ConfigError("ablation needs at least one target: reasoner, rl or ledger")
     unknown = disable - {"reasoner", "rl", "ledger"}
     if unknown:
         raise ConfigError(f"unknown ablation targets: {sorted(unknown)}")
@@ -677,9 +665,9 @@ def compare(reports: list[MetricsReport]) -> dict:
     """Per-class F1, per-arm MTTM and per-arm overhead tables."""
     if len(reports) < 2:
         raise ConfigError("comparison requires at least 2 reports")
-    suites = {r.suite for r in reports}
-    if len(suites) > 1:
-        raise ConfigError("reports come from different suites")
+    for name in ("suite", "seed", "episodes"):
+        if len({getattr(r, name) for r in reports}) > 1:
+            raise ConfigError(f"reports differ in {name}")
     by_arm: dict[str, MetricsReport] = {}
     for r in reports:
         if r.arm in by_arm:

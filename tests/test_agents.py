@@ -3,9 +3,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from pipeguard import agents
 from pipeguard.agents import (
     BENIGN_ASSESSMENT,
     Assessment,
+    Detector,
     Finding,
     RuleBasedReasoner,
     analyze,
@@ -19,12 +21,15 @@ from pipeguard.env import (
     AgentRole,
     ConfigError,
     ContractViolation,
+    EnvConfig,
+    MitigationAction,
     ObservationSignal,
     PipelineEnv,
     PipelineStage,
     SignalKind,
     VulnerabilityClass,
 )
+from pipeguard.evaluation import calibration_suite
 
 
 def sig(content, kind=SignalKind.COMMIT_DIFF, stage=PipelineStage.SOURCE_MANAGEMENT):
@@ -143,15 +148,22 @@ class TestReasoner:
             Assessment(verdict=VulnerabilityClass.INJECTION, severity=0.9, rationale="")
 
 
-class TestGraph:
-    """The agent graph is one fixed route: every agent once, in pipeline
-    order, then the decision."""
+class TestSweep:
+    """Every decision runs every agent once, in pipeline order, then fuses
+    all their findings."""
 
-    def test_full_sweep_visits_all_agents_once(self):
+    def test_full_sweep_visits_all_agents_once(self, monkeypatch):
+        visited = []
+
+        def recording(role, signals):
+            visited.append(role)
+            return analyze(role, signals)
+        monkeypatch.setattr(agents, "analyze", recording)
+
         env = PipelineEnv()
         state = env.reset([], 11)
-        trace = dispatch(state, RuleBasedReasoner())
-        assert [role for role, _ in trace.activations] == list(AgentRole)
+        dispatch(state, RuleBasedReasoner())
+        assert visited == list(AgentRole)
 
         # Attack signals for three agents, listed against pipeline order.
         attack_signals = (
@@ -162,11 +174,74 @@ class TestGraph:
         )
         state = replace(state, signals=state.signals + attack_signals)
         reasoner = RuleBasedReasoner()
+        visited.clear()
         trace = dispatch(state, reasoner)
-        assert [role for role, _ in trace.activations] == list(AgentRole)
-        findings = [f for _, got in trace.activations for f in got]
-        assert [f.evidence for f in findings] == [
-            ("exec_untrusted_input",), ("shell_metachar_concat",), ("typosquat_pkg",),
-            ("wildcard_admin",)]
-        assert trace.assessment == reasoner.reason(findings)
+        assert visited == list(AgentRole)
+        assert [(f.role, f.evidence) for f in trace.findings] == [
+            (AgentRole.CODE_ANALYSIS, ("exec_untrusted_input",)),
+            (AgentRole.CODE_ANALYSIS, ("shell_metachar_concat",)),
+            (AgentRole.DEPENDENCY_INTELLIGENCE, ("typosquat_pkg",)),
+            (AgentRole.ACCESS_CONTROL, ("wildcard_admin",))]
+        assert trace.assessment == reasoner.reason(list(trace.findings))
         assert trace.assessment.verdict is VulnerabilityClass.INJECTION
+
+
+def episode_states(env, scenarios, seed):
+    """Every pre-state of one episode, acting by turns with actions that
+    mitigate some attacks without ending the run."""
+    actions = [MitigationAction.ALLOW_CONTINUE, MitigationAction.REVOKE_CREDENTIALS,
+               MitigationAction.APPLY_CONFIG_PATCH, MitigationAction.QUARANTINE_DEPENDENCY]
+    states = []
+    state = env.reset(scenarios, seed)
+    while not state.done:
+        states.append(state)
+        state = env.step(state, actions[len(states) % len(actions)]).next_state
+    return states
+
+
+class TestDetector:
+    def test_assess_equals_dispatch(self):
+        # Decoys on every run, attacked ones too.
+        env = PipelineEnv(EnvConfig(decoy_probability=0.5, decoys_only_benign=False))
+        runs = [[]] * 4 + [[s] for s in calibration_suite()]
+        states = [state for seed, scenarios in enumerate(runs)
+                  for state in episode_states(env, scenarios, seed)]
+        assert any(s.origin_attack is None and s.content in
+                   ("obfuscated_string_concat", "nested_object_graph",
+                    "unused_privilege_grant", "implicit_default_config")
+                   for state in states if state.active_attacks for s in state.signals)
+        assert any(state.mitigated_ids and state.signals for state in states)
+        for correlation in (True, False):
+            detector = Detector(correlation)
+            reasoner = RuleBasedReasoner(correlation_enabled=correlation)
+            for state in states:
+                assert detector.assess(state) == dispatch(state, reasoner)
+
+    def test_repeated_observation_sweeps_once_per_detector(self, monkeypatch):
+        swept = []
+
+        def counting(state, reasoner):
+            swept.append(state)
+            return dispatch(state, reasoner)
+        monkeypatch.setattr(agents, "dispatch", counting)
+
+        state = PipelineEnv().reset([], 11)
+        state = replace(state, signals=state.signals + (sig("exec_untrusted_input"),))
+        # Same observation: other step and clock, origin labels the agents
+        # never see.
+        twin = replace(state, step=state.step + 1, clock_minutes=9.0, signals=tuple(
+            replace(s, origin_attack="atk") for s in state.signals))
+        first, second = Detector(), Detector()
+        trace = first.assess(state)
+        assert first.assess(twin) is trace and first.assess(state) is trace
+        assert len(swept) == 1
+        assert second.assess(twin) == trace
+        assert len(swept) == 2
+        # A different observation is a new sweep, and so is one signal seen
+        # at another stage.
+        first.assess(replace(state, signals=state.signals[:-1]))
+        assert len(swept) == 3
+        moved = replace(state, signals=state.signals[:-1] + (
+            sig("exec_untrusted_input", stage=PipelineStage.BUILD),))
+        assert first.assess(moved).findings[-1].stage is PipelineStage.BUILD
+        assert len(swept) == 4

@@ -86,6 +86,22 @@ class TestTrain:
         policy = learning.load_policy(str(out))
         assert policy.params.shape == (300, 8)
 
+    # The golden seed-0 policies of the three training set-ups.
+    @pytest.mark.parametrize("args, digest", [
+        ([], "76fb25f03d325a389b3f898a62bde6687b2873815f2fb41b0e69dadf359efd64"),
+        (["--no-correlation"],
+         "53a9d3548439c26561a92c9dab2ab7e05287739e9512374e94243e8df076f9e8"),
+        (["--algorithm", "PPO"],
+         "00f7db7ccf50c266fa830479cbd78b2712563f71393d5b483cb266bc82fcd467"),
+    ], ids=["dqn", "dqn-no-correlation", "ppo"])
+    def test_policy_is_pinned(self, runner, tmp_path, args, digest):
+        out = tmp_path / "policy.json"
+        result = runner.invoke(main, ["train", *args, "--episodes", "3000",
+                                      "--learning-rate", "0.3", "--seed", "0",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_train_rejects_unknown_config_field(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"train": {"algorithm": "DQN", "optimizer": "adam"}}')
@@ -138,10 +154,17 @@ class TestEvaluate:
         assert doc["disabled"] == ["ledger"]
         assert doc["confusion_identical"] is True
 
-    # The arms and ablations the golden outputs leave out: the policy stack
-    # without cross-stage correlation, the playbook stack, and the reasoner
-    # with correlation switched off.
+    # Every arm that detects: the golden Proposed and RuleBased outputs, the
+    # policy stack without cross-stage correlation, the playbook stack, and
+    # the reasoner with correlation switched off.
     @pytest.mark.parametrize("args, digests", [
+        (["--arm", "Proposed"], {
+            "report.json": "e1f8dd48297a6dc2eb439aae352c6c56e3ae74983a7c9dc332214304d7b33fe4",
+            "records.json": "fe22eb57621cb99545af9ffb4ba928b1c4c2ae416654af3cddaa9f2d2f5c26ab",
+            "ledger.bin": "e237eb403b592d7139463634c001f43af61083c8db787d7e96ba81e444c398c3"}),
+        (["--arm", "RuleBased"], {
+            "report.json": "ab8b561ec3a4547525189485138e2992e023dd0e4848fd142af6af5359fb6bd9",
+            "records.json": "04fc916fcaf93626a4948b2c3f0035f5e4a9cac80152d34e2d93e10203bd8485"}),
         (["--arm", "RLOnly"], {
             "report.json": "5a26a81909284135062206541dadba9faa51fa6faa5ce3bf7d7a73e7bde68306",
             "records.json": "791f4d8d226990d2393313c7b8a3997de1311e8dc88c97dcc62e7b4c8762bf18"}),
@@ -149,7 +172,7 @@ class TestEvaluate:
             "ablation.json": "8b24fb3ae2dae59dc58a792c6ac26f989146da2a3e6f03064ce4745f59e2040c"}),
         (["--arm", "Proposed", "--disable", "reasoner"], {
             "ablation.json": "3bdb7c500f8cf489ffb7ae3efdc6efe5da60a1d9c874c7c99559acc122368a60"}),
-    ], ids=["rl-only", "no-rl", "no-reasoner"])
+    ], ids=["proposed", "rule-based", "rl-only", "no-rl", "no-reasoner"])
     def test_output_is_pinned(self, runner, tmp_path, policy_file, args, digests):
         out = tmp_path / "out"
         result = runner.invoke(main, ["evaluate", *args, "--policy", policy_file,
@@ -163,6 +186,17 @@ class TestEvaluate:
             "evaluate", "--arm", "RuleBased", "--disable", "rl",
             "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+    # An ablation of nothing would compare Proposed with itself.
+    @pytest.mark.parametrize("targets", [",", ""])
+    def test_disable_without_target_rejected(self, runner, tmp_path, policy_file,
+                                             targets):
+        out = tmp_path / "x"
+        result = runner.invoke(main, [
+            "evaluate", "--arm", "Proposed", "--policy", policy_file,
+            "--episodes", "5", "--disable", targets, "--out", str(out)])
+        assert "ablation needs at least one target" in assert_error_line(result)
+        assert not (out / "ablation.json").exists()
 
 
 class TestLedgerCommands:

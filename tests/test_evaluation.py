@@ -278,11 +278,13 @@ class TestCompare:
         with pytest.raises(ConfigError, match="at least 2"):
             compare([self.fake_report(BaselineKind.PROPOSED, 1, 1, 1)])
 
-    def test_mismatched_suites_rejected(self):
+    @pytest.mark.parametrize("field, value", [
+        ("suite", "other"), ("seed", 1), ("episodes", 50)])
+    def test_mismatched_runs_rejected(self, field, value):
         a = self.fake_report(BaselineKind.PROPOSED, 1, 1, 1)
         b = dataclasses.replace(self.fake_report(BaselineKind.RULE_BASED, 1, 1, 1),
-                                suite="other")
-        with pytest.raises(ConfigError, match="different suites"):
+                                **{field: value})
+        with pytest.raises(ConfigError, match=f"reports differ in {field}"):
             compare([a, b])
 
     def test_repeated_arm_rejected(self):
