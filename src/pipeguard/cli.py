@@ -210,6 +210,9 @@ def evaluate(arm, suite_path, policy_path, episodes, disable_csv, config_path,
     suite = _load_suite(suite_path)
     options = _experiment_options(doc, episodes)
     kind = evaluation.BaselineKind(arm)
+    if policy_path and kind not in (evaluation.BaselineKind.RL_ONLY,
+                                    evaluation.BaselineKind.PROPOSED):
+        raise ConfigError("--policy applies to the RLOnly and Proposed arms only")
     policy = learning.load_policy(policy_path) if policy_path else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

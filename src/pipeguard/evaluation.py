@@ -472,7 +472,6 @@ class LedgerArtifacts:
     validators: ledger_mod.ValidatorSet
     signing_keys: dict
     acl: ledger_mod.AclPolicy
-    entries_written: int = 0
 
 
 def _init_ledger(seed: int) -> LedgerArtifacts:
@@ -534,13 +533,12 @@ def run_experiment(
         record = _episode_record(steps, scenarios, pipeline, ep_seed, i,
                                  options, arm)
         if artifacts is not None:
-            entries = _ledger_entries(steps, global_clock)
             ledger_mod.append_block(
-                artifacts.chain, entries, artifacts.validators.ids()[0],
+                artifacts.chain, _ledger_entries(steps, global_clock),
+                artifacts.validators.ids()[0],
                 artifacts.validators, artifacts.signing_keys, artifacts.acl,
                 timestamp=int(global_clock + record.duration_minutes),
             )
-            artifacts.entries_written += len(entries)
         global_clock += record.duration_minutes
         records.append(record)
     playbook = arm is BaselineKind.PROPOSED and not options.use_policy

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -53,36 +53,32 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(NODE_PREFIX + left + right).digest()
 
 
-def merkle_root(leaves: list[bytes]) -> bytes:
-    """Root of the domain-separated tree; odd levels duplicate the last node.
+def _merkle_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """Every level of the domain-separated tree, leaf hashes first; odd levels
+    are padded by duplicating their last node.
 
     An empty list hashes to the leaf hash of the empty string.
     """
-    if not leaves:
-        return _leaf_hash(b"")
-    level = [_leaf_hash(leaf) for leaf in leaves]
+    level = [_leaf_hash(leaf) for leaf in leaves] or [_leaf_hash(b"")]
+    levels = [level]
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
         level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+        levels.append(level)
+    return levels
+
+
+def merkle_root(leaves: list[bytes]) -> bytes:
+    return _merkle_levels(leaves)[-1][0]
 
 
 def merkle_proof(leaves: list[bytes], index: int) -> list[bytes]:
     """Sibling path from leaf `index` to the root."""
     if not (0 <= index < len(leaves)):
         raise IndexError(f"leaf index {index} out of range")
-    level = [_leaf_hash(leaf) for leaf in leaves]
-    path = []
-    idx = index
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        sibling = idx + 1 if idx % 2 == 0 else idx - 1
-        path.append(level[sibling])
-        level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        idx //= 2
-    return path
+    return [level[(index >> depth) ^ 1]
+            for depth, level in enumerate(_merkle_levels(leaves)[:-1])]
 
 
 def verify_proof(root: bytes, leaf: bytes, index: int, path: list[bytes]) -> bool:
@@ -153,11 +149,13 @@ class LedgerEntry:
     action: MitigationAction
     outcome: OutcomeFlags
     timestamp: int                 # simulated-clock minutes
+    _raw: bytes = field(init=False, repr=False, compare=False)
 
-    def serialize(self) -> bytes:
+    def __post_init__(self):
+        # The canonical bytes, encoded once: every root, block and file reuses them.
         if len(self.signals_digest) != 32:
             raise LedgerError("signals_digest must be 32 bytes")
-        return b"".join([
+        object.__setattr__(self, "_raw", b"".join([
             _pack_str(self.agent_id),
             _pack_str(self.role.value),
             self.signals_digest,
@@ -168,7 +166,10 @@ class LedgerEntry:
                         int(self.outcome.developer_accepted)),
             struct.pack(">d", self.outcome.build_delay),
             struct.pack(">Q", self.timestamp),
-        ])
+        ]))
+
+    def serialize(self) -> bytes:
+        return self._raw
 
     @staticmethod
     def deserialize(data: bytes) -> "LedgerEntry":
@@ -308,6 +309,23 @@ class Aborted:
 HONEST, SILENT, REJECT, EQUIVOCATE = "honest", "silent", "reject", "equivocate"
 
 
+def _valid_votes(validators: ValidatorSet, votes: Iterable[tuple[str, bytes]],
+                 digest: bytes) -> tuple[tuple[str, bytes], ...]:
+    """The votes that count, in order: one per known validator, the first of
+    its signatures that verifies over `digest`."""
+    valid: dict[str, bytes] = {}
+    for vid, sig in votes:
+        pub = validators.public_key(vid)
+        if pub is None or vid in valid:
+            continue
+        try:
+            pub.verify(sig, digest)
+        except InvalidSignature:
+            continue  # conflicting or malformed vote
+        valid[vid] = sig
+    return tuple(valid.items())
+
+
 def _honest_verdict(block: Block, expected_prev: bytes, acl: "AclPolicy") -> str:
     if block.prev_hash != expected_prev:
         return "bad_prev_hash"
@@ -341,11 +359,8 @@ def bft_commit(
     honest_verdict: Optional[str] = None
     for vid, _pub in validators.validators:
         behavior = behaviors.get(vid, HONEST)
-        if behavior == SILENT:
-            verdicts[vid] = "silent"
-            continue
-        if behavior == REJECT:
-            verdicts[vid] = "reject"
+        if behavior in (SILENT, REJECT):
+            verdicts[vid] = behavior
             continue
         key = signing_keys[vid]
         if behavior == EQUIVOCATE:
@@ -359,20 +374,9 @@ def bft_commit(
         if honest_verdict == "ok":
             votes.append((vid, key.sign(block_digest)))
 
-    valid: list[tuple[str, bytes]] = []
-    seen: set[str] = set()
-    for vid, sig in votes:
-        pub = validators.public_key(vid)
-        if pub is None or vid in seen:
-            continue
-        try:
-            pub.verify(sig, block_digest)
-        except InvalidSignature:
-            continue  # conflicting or malformed vote
-        valid.append((vid, sig))
-        seen.add(vid)
+    valid = _valid_votes(validators, votes, block_digest)
     if len(valid) >= validators.quorum:
-        return Committed(tuple(valid))
+        return Committed(valid)
     return Aborted(
         reason=f"{len(valid)} valid votes < quorum {validators.quorum}",
         valid_votes=len(valid),
@@ -409,8 +413,17 @@ def default_acl() -> AclPolicy:
 # -- chain operations ------------------------------------------------------------
 
 
+def _commit(block: Block, validators: ValidatorSet,
+            signing_keys: dict[str, Ed25519PrivateKey], acl: AclPolicy) -> Block:
+    """Run the quorum vote on `block`; returns it with the quorum's signatures."""
+    result = bft_commit(validators, signing_keys, block, {}, block.prev_hash, acl)
+    if isinstance(result, Aborted):
+        raise LedgerError(f"consensus aborted: {result.reason}")
+    return Block(**{**block.__dict__, "signatures": result.signatures})
+
+
 def make_genesis(validators: ValidatorSet, signing_keys: dict[str, Ed25519PrivateKey],
-                 acl: AclPolicy, timestamp: int = 0) -> Block:
+                 acl: AclPolicy) -> Block:
     block = Block(
         index=0,
         prev_hash=ZERO_HASH,
@@ -418,11 +431,9 @@ def make_genesis(validators: ValidatorSet, signing_keys: dict[str, Ed25519Privat
         entries=(),
         proposer=validators.ids()[0],
         signatures=(),
-        timestamp=timestamp,
+        timestamp=0,
     )
-    result = bft_commit(validators, signing_keys, block, {}, ZERO_HASH, acl)
-    assert isinstance(result, Committed)
-    return Block(**{**block.__dict__, "signatures": result.signatures})
+    return _commit(block, validators, signing_keys, acl)
 
 
 def append_block(
@@ -432,7 +443,6 @@ def append_block(
     validators: ValidatorSet,
     signing_keys: dict[str, Ed25519PrivateKey],
     acl: AclPolicy,
-    behaviors: Optional[dict[str, str]] = None,
     timestamp: Optional[int] = None,
 ) -> Block:
     """Validate, commit and append one block; raises on any rejection."""
@@ -446,21 +456,16 @@ def append_block(
                 f"role {e.role.value} may not record action {e.action.name}"
             )
     prev = chain[-1]
-    prev_hash = prev.hash()
     block = Block(
         index=prev.index + 1,
-        prev_hash=prev_hash,
+        prev_hash=prev.hash(),
         merkle_root=entries_root(tuple(entries)),
         entries=tuple(entries),
         proposer=proposer,
         signatures=(),
         timestamp=timestamp if timestamp is not None else prev.timestamp + 1,
     )
-    result = bft_commit(validators, signing_keys, block, behaviors or {},
-                        prev_hash, acl)
-    if isinstance(result, Aborted):
-        raise LedgerError(f"consensus aborted: {result.reason}")
-    committed = Block(**{**block.__dict__, "signatures": result.signatures})
+    committed = _commit(block, validators, signing_keys, acl)
     chain.append(committed)
     return committed
 
@@ -479,27 +484,19 @@ class ChainInvalid:
 def verify_chain(chain: list[Block], validators: ValidatorSet,
                  acl: AclPolicy) -> ChainValid | ChainInvalid:
     """Recompute every linkage, root, signature, quorum and ACL check."""
+    if not chain:
+        return ChainInvalid(0, "hash_link")  # no genesis to link from
+    expected_prev = ZERO_HASH
     for i, block in enumerate(chain):
-        if i == 0:
-            if block.prev_hash != ZERO_HASH or block.index != 0:
-                return ChainInvalid(0, "hash_link")
-        else:
-            if block.prev_hash != chain[i - 1].hash() or block.index != i:
-                return ChainInvalid(i, "hash_link")
+        if block.prev_hash != expected_prev or block.index != i:
+            return ChainInvalid(i, "hash_link")
         if block.merkle_root != entries_root(block.entries):
             return ChainInvalid(i, "merkle_mismatch")
-        digest = block.hash()
-        seen: set[str] = set()
-        for vid, sig in block.signatures:
-            pub = validators.public_key(vid)
-            if pub is None or vid in seen:
-                return ChainInvalid(i, "signature")
-            try:
-                pub.verify(sig, digest)
-            except InvalidSignature:
-                return ChainInvalid(i, "signature")
-            seen.add(vid)
-        if len(seen) < validators.quorum:
+        expected_prev = block.hash()
+        valid = _valid_votes(validators, block.signatures, expected_prev)
+        if len(valid) < len(block.signatures):
+            return ChainInvalid(i, "signature")
+        if len(valid) < validators.quorum:
             return ChainInvalid(i, "quorum")
         for e in block.entries:
             if not acl.permits(e.role, e.action):

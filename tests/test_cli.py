@@ -175,7 +175,8 @@ class TestEvaluate:
     ], ids=["proposed", "rule-based", "rl-only", "no-rl", "no-reasoner"])
     def test_output_is_pinned(self, runner, tmp_path, policy_file, args, digests):
         out = tmp_path / "out"
-        result = runner.invoke(main, ["evaluate", *args, "--policy", policy_file,
+        policy = [] if args[1] == "RuleBased" else ["--policy", policy_file]
+        result = runner.invoke(main, ["evaluate", *args, *policy,
                                       "--episodes", "200", "--seed", "7", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -225,6 +226,12 @@ class TestLedgerCommands:
         assert result.output.startswith("block 0:")
         assert len(result.output.strip().splitlines()) == 4
 
+    def test_verify_rejects_empty_file(self, runner, tmp_path):
+        chain = tmp_path / "empty.bin"
+        chain.write_bytes(b"")
+        result = runner.invoke(main, ["ledger", "verify", "--chain", str(chain)])
+        assert result.exit_code == 1
+        assert result.output == "INVALID at block 0: hash_link\n"
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_verify_needs_a_validator(self, runner, tmp_path, n):
@@ -436,6 +443,12 @@ MALFORMED = [
      "scenario suite must be non-empty"),
     ("compare-same-arm", ["compare", report_doc(), report_doc(), "--out", OUT],
      "two reports of arm Proposed"),
+    ("evaluate-policy-RuleBased", ["evaluate", "--arm", "RuleBased", "--policy",
+                                   policy_doc(300, 8), "--out", OUT],
+     "--policy applies to the RLOnly and Proposed arms only"),
+    ("evaluate-policy-ProvenanceOnly", ["evaluate", "--arm", "ProvenanceOnly", "--policy",
+                                        policy_doc(300, 8), "--out", OUT],
+     "--policy applies to the RLOnly and Proposed arms only"),
 ]
 
 

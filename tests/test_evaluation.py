@@ -181,8 +181,6 @@ class TestArms:
             assert report.per_class[vc.value]["recall"] >= 0.9
         assert artifacts is not None
         assert len(artifacts.chain) == 61  # genesis + one block per episode
-        assert artifacts.entries_written == sum(
-            len(b.entries) for b in artifacts.chain)
         verdict = ledger_mod.verify_chain(
             artifacts.chain, artifacts.validators, artifacts.acl)
         assert isinstance(verdict, ledger_mod.ChainValid)

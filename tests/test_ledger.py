@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pipeguard import ledger
 from pipeguard.env import AgentRole, ConfigError, MitigationAction, OutcomeFlags
 from pipeguard.ledger import (
     EQUIVOCATE,
@@ -64,6 +65,11 @@ def build_chain(validators, keys, acl, n_blocks=3):
                      validators.ids()[0], validators, keys, acl,
                      timestamp=100 * (i + 1))
     return chain
+
+
+def with_signatures(block, signatures):
+    return Block(block.index, block.prev_hash, block.merkle_root, block.entries,
+                 block.proposer, signatures, block.timestamp)
 
 
 class TestMerkle:
@@ -217,19 +223,36 @@ class TestChain:
         assert isinstance(verify_chain(chain, validators, acl), ChainValid)
         assert [b.index for b in chain] == [0, 1, 2, 3]
 
-    def test_append_serializes_each_entry_twice(self, setup4, monkeypatch):
-        # Once for the block's root and once for the validators' shared
-        # re-check; all four validators still sign.
+    def test_no_entry_is_encoded_again(self, setup4, tmp_path, monkeypatch):
+        # An entry packs its strings once, at construction; committing,
+        # writing and verifying the chain reuse those bytes.
         validators, keys, acl = setup4
         chain = [make_genesis(validators, keys, acl)]
-        calls = []
-        serialize = LedgerEntry.serialize
-        monkeypatch.setattr(LedgerEntry, "serialize",
-                            lambda e: calls.append(e) or serialize(e))
-        block = append_block(chain, [entry(ts=j) for j in range(3)],
-                             validators.ids()[0], validators, keys, acl)
-        assert len(calls) == 2 * 3
+        packed = []
+        pack_str = ledger._pack_str
+        monkeypatch.setattr(ledger, "_pack_str",
+                            lambda s: packed.append(s) or pack_str(s))
+        entries = [entry(ts=j, summary=f"summary-{j}") for j in range(3)]
+        summaries = lambda: [s for s in packed if s.startswith("summary-")]
+        assert summaries() == ["summary-0", "summary-1", "summary-2"]
+        block = append_block(chain, entries, validators.ids()[0], validators,
+                             keys, acl)
+        write_chain(chain, str(tmp_path / "chain.bin"))
+        assert isinstance(verify_chain(chain, validators, acl), ChainValid)
+        assert summaries() == ["summary-0", "summary-1", "summary-2"]
         assert [vid for vid, _ in block.signatures] == validators.ids()
+
+    def test_short_signals_digest_rejected(self):
+        with pytest.raises(LedgerError, match="32 bytes"):
+            LedgerEntry("a", AgentRole.CICD_MONITORING, bytes(31), "s",
+                        MitigationAction.BLOCK_BUILD,
+                        OutcomeFlags(True, False, True, 0.0), 0)
+
+    def test_genesis_without_quorum_raises(self, setup4):
+        validators, _keys, acl = setup4
+        _other, foreign_keys = generate_validators(4, seed=2)
+        with pytest.raises(LedgerError, match="consensus aborted: 0 valid votes"):
+            make_genesis(validators, foreign_keys, acl)
 
     def test_acl_violation_raises_and_names_role(self, setup4):
         validators, keys, acl = setup4
@@ -269,24 +292,38 @@ class TestChain:
     def test_verify_detects_quorum_loss(self, setup4):
         validators, keys, acl = setup4
         chain = build_chain(validators, keys, acl, 1)
-        victim = chain[1]
-        thin = Block(victim.index, victim.prev_hash, victim.merkle_root,
-                     victim.entries, victim.proposer,
-                     victim.signatures[:2], victim.timestamp)
+        thin = with_signatures(chain[1], chain[1].signatures[:2])
         verdict = verify_chain([chain[0], thin], validators, acl)
         assert verdict == ChainInvalid(1, "quorum")
 
     def test_verify_detects_forged_signature(self, setup4):
         validators, keys, acl = setup4
         chain = build_chain(validators, keys, acl, 1)
-        victim = chain[1]
-        vid, sig = victim.signatures[0]
+        vid, sig = chain[1].signatures[0]
         forged = (vid, sig[:-1] + bytes([sig[-1] ^ 1]))
-        bad = Block(victim.index, victim.prev_hash, victim.merkle_root,
-                    victim.entries, victim.proposer,
-                    (forged,) + victim.signatures[1:], victim.timestamp)
+        bad = with_signatures(chain[1], (forged,) + chain[1].signatures[1:])
         verdict = verify_chain([chain[0], bad], validators, acl)
         assert verdict == ChainInvalid(1, "signature")
+
+    def test_verify_detects_repeated_vote(self, setup4):
+        validators, keys, acl = setup4
+        chain = build_chain(validators, keys, acl, 1)
+        sigs = chain[1].signatures
+        bad = with_signatures(chain[1], sigs + sigs[:1])
+        verdict = verify_chain([chain[0], bad], validators, acl)
+        assert verdict == ChainInvalid(1, "signature")
+
+    def test_verify_detects_unknown_voter(self, setup4):
+        validators, keys, acl = setup4
+        chain = build_chain(validators, keys, acl, 1)
+        _vid, sig = chain[1].signatures[0]
+        bad = with_signatures(chain[1], chain[1].signatures + (("intruder", sig),))
+        verdict = verify_chain([chain[0], bad], validators, acl)
+        assert verdict == ChainInvalid(1, "signature")
+
+    def test_empty_chain_is_invalid(self, setup4):
+        validators, _keys, acl = setup4
+        assert verify_chain([], validators, acl) == ChainInvalid(0, "hash_link")
 
     def test_file_round_trip(self, setup4, tmp_path):
         validators, keys, acl = setup4
