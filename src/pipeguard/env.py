@@ -288,7 +288,6 @@ class EnvState:
     build_delay: float
     rng_seed: int
     done: bool
-    terminal_outcome: Optional[OutcomeFlags] = None
     clock_minutes: float = 0.0
     steps_in_stage: int = 0
     paused: bool = False
@@ -386,6 +385,10 @@ class EnvConfig:
         return DEFAULT_ACCEPTANCE.get(action, 1.0)
 
 
+# Cap on step_minutes and each delays value: the ledger's u64 minute timestamps
+# then overflow only after ~9.2e12 decisions, past any run that fits in memory.
+MAX_MINUTES = 10**6
+
 _ENV_CONFIG_FIELDS = {
     "reward": dict, "max_steps_per_stage": int, "step_minutes": float,
     "decoy_probability": float, "decoys_only_benign": bool, "delays": dict, "acceptance": dict,
@@ -403,13 +406,13 @@ def env_config_from_dict(obj: dict) -> EnvConfig:
     cfg.reward.validate()
     if cfg.max_steps_per_stage < 1:
         raise ConfigError("max_steps_per_stage must be >= 1")
-    if cfg.step_minutes < 0:
-        raise ConfigError("step_minutes must be >= 0")
+    if not 0 <= cfg.step_minutes <= MAX_MINUTES:
+        raise ConfigError(f"step_minutes must be >= 0 and <= {MAX_MINUTES}")
     if not 0.0 <= cfg.decoy_probability <= 1.0:
         raise ConfigError("decoy_probability must be in [0, 1]")
     for name, minutes in cfg.delays.items():
-        if minutes < 0:
-            raise ConfigError(f"delays {name} must be >= 0")
+        if not 0 <= minutes <= MAX_MINUTES:
+            raise ConfigError(f"delays {name} must be >= 0 and <= {MAX_MINUTES}")
     for name, p in cfg.acceptance.items():
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"acceptance {name} must be in [0, 1]")
@@ -563,7 +566,6 @@ class PipelineEnv:
             "effects": effects,
             "mitigated_ids": state.mitigated_ids + tuple(sorted(mitigated_ids)),
             "done": done,
-            "terminal_outcome": outcome if done else state.terminal_outcome,
             "steps_in_stage": steps_in_stage,
         })
         if stage_exhausted and not done:

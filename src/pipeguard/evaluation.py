@@ -22,7 +22,7 @@ import numpy as np
 
 from . import learning, ledger as ledger_mod
 # analyze, dispatch and observe go unused here; bench/tracing.py patches them here.
-from .agents import Detector, analyze, dispatch  # noqa: F401
+from .agents import Assessment, Detector, analyze, dispatch  # noqa: F401
 from .env import (
     AgentRole,
     AttackScenario,
@@ -319,6 +319,14 @@ class ProvenanceStack:
         return ALLOW
 
 
+def policy_state(detector: Detector, state: EnvState,
+                 prior_alerts: int) -> tuple[int, Assessment]:
+    """The state id a policy acts on, and the fused assessment it encodes.
+    Evaluation and training both map states through it."""
+    assessment = detector.assess(state).assessment
+    return learning.encode_state(state, assessment, prior_alerts), assessment
+
+
 class PolicyStack:
     """Run the agent sweep, fuse findings, act greedily from a trained policy."""
 
@@ -334,8 +342,7 @@ class PolicyStack:
         self.detector = Detector(correlation)
 
     def decide(self, state, prior_alerts):
-        assessment = self.detector.assess(state).assessment
-        sid = learning.encode_state(state, assessment, prior_alerts)
+        sid, assessment = policy_state(self.detector, state, prior_alerts)
         action = MitigationAction(self.policy.greedy(sid))
         return Decision(assessment.verdict, action, assessment.severity)
 
@@ -378,10 +385,11 @@ def _build_stack(arm: BaselineKind, policy: Optional[learning.Policy],
 
 
 def _plan_episode(seed: int, index: int, suite: list[AttackScenario],
-                  benign_fraction: float) -> list[AttackScenario]:
-    if unit_draw("benign-slot", seed, index) < benign_fraction:
-        return []
-    return [suite[index % len(suite)]]
+                  benign_fraction: float) -> tuple[list[AttackScenario], int]:
+    """Episode `index`'s scenarios (none for a benign run) and its run seed,
+    for evaluation and training alike."""
+    benign = unit_draw("benign-slot", seed, index) < benign_fraction
+    return ([] if benign else [suite[index % len(suite)]]), episode_seed(seed, index)
 
 
 class Step(NamedTuple):
@@ -527,8 +535,7 @@ def run_experiment(
         artifacts = _init_ledger(seed)
     global_clock = 0.0
     for i in range(options.episodes):
-        scenarios = _plan_episode(seed, i, suite, options.benign_fraction)
-        ep_seed = episode_seed(seed, i)
+        scenarios, ep_seed = _plan_episode(seed, i, suite, options.benign_fraction)
         steps = list(episode_steps(stack.decide, pipeline, scenarios, ep_seed))
         record = _episode_record(steps, scenarios, pipeline, ep_seed, i,
                                  options, arm)
@@ -566,32 +573,26 @@ class DefenseEpisodeEnv:
         self.pipeline = PipelineEnv(env_config or EnvConfig())
         self.detector = Detector(correlation)
         self._episode = 0
-        self._state: Optional[EnvState] = None
-        self._prior_alerts = 0
-
-    def _encode(self) -> int:
-        self._last_assessment = self.detector.assess(self._state).assessment
-        return learning.encode_state(self._state, self._last_assessment,
-                                     self._prior_alerts)
 
     def reset(self, rng) -> int:
-        index = self._episode
+        scenarios, ep_seed = _plan_episode(self.seed, self._episode, self.suite,
+                                           ExperimentOptions.benign_fraction)
         self._episode += 1
-        scenarios = _plan_episode(self.seed, index, self.suite,
-                                  ExperimentOptions.benign_fraction)
-        self._state = self.pipeline.reset(scenarios, episode_seed(self.seed, index))
+        self._state = self.pipeline.reset(scenarios, ep_seed)
         self._prior_alerts = 0
-        return self._encode()
+        sid, self._assessment = policy_state(self.detector, self._state, 0)
+        return sid
 
     def step(self, action: int) -> tuple[int, float, bool]:
-        if self._last_assessment.verdict is not None:
-            self._prior_alerts = min(self._prior_alerts + 1,
-                                     learning.N_PRIOR_ALERTS - 1)
+        if self._assessment.verdict is not None:
+            self._prior_alerts += 1
         transition = self.pipeline.step(self._state, MitigationAction(action))
         self._state = transition.next_state
         if transition.done:
             return 0, transition.reward, True
-        return self._encode(), transition.reward, False
+        sid, self._assessment = policy_state(self.detector, self._state,
+                                             self._prior_alerts)
+        return sid, transition.reward, False
 
 
 def train_mitigation_policy(
@@ -602,10 +603,8 @@ def train_mitigation_policy(
 ) -> learning.Policy:
     if not suite:
         raise ConfigError("scenario suite must be non-empty")
-
-    def factory():
-        return DefenseEpisodeEnv(suite, config.seed, env_config, correlation)
-    return learning.train(factory, config)
+    env = DefenseEpisodeEnv(suite, config.seed, env_config, correlation)
+    return learning.train(env, config)
 
 
 # -- ablations and comparisons -----------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -252,14 +252,13 @@ class TrainConfig:
         return config
 
 
-def entropy_coefficient(config: TrainConfig, episode: int) -> float:
-    """Linear decay from start to end over the configured episode budget."""
-    if config.episodes <= 1:
-        return config.entropy_coeff_start
-    frac = min(max(episode / (config.episodes - 1), 0.0), 1.0)
-    return config.entropy_coeff_start + frac * (
-        config.entropy_coeff_end - config.entropy_coeff_start
-    )
+def linear_schedule(start: float, end: float, episode: int, episodes: int) -> float:
+    """Linear decay from `start` at episode 0 to `end` at episode `episodes - 1`;
+    DQN's epsilon and PPO's entropy coefficient both follow it."""
+    if episodes <= 1:
+        return start
+    frac = min(max(episode / (episodes - 1), 0.0), 1.0)
+    return start + frac * (end - start)
 
 
 class EpisodicEnv(Protocol):
@@ -306,17 +305,13 @@ class MDPEnv:
         return nxt, reward, nxt in self.mdp.terminal
 
 
-def train_dqn(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Policy:
-    """Tabular Q-learning with epsilon-greedy exploration (linear decay)."""
-    env = env_factory()
+def train_dqn(env: EpisodicEnv, config: TrainConfig) -> Policy:
+    """Tabular Q-learning with epsilon-greedy exploration (linear decay).
+    Consumes `env`, whose episodes go on from where it stands: pass a fresh one."""
     rng = np.random.default_rng(config.seed)
     q = np.zeros((env.n_states, env.n_actions))
     for ep in range(config.episodes):
-        if config.episodes > 1:
-            frac = ep / (config.episodes - 1)
-        else:
-            frac = 0.0
-        eps = config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
+        eps = linear_schedule(config.epsilon_start, config.epsilon_end, ep, config.episodes)
         s = env.reset(rng)
         for _ in range(config.max_episode_steps):
             if rng.random() < eps:
@@ -373,13 +368,13 @@ def ppo_objective_and_grad(
     return total / n, grad / n
 
 
-def train_ppo(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Policy:
+def train_ppo(env: EpisodicEnv, config: TrainConfig) -> Policy:
     """Linear-softmax policy trained with the clipped surrogate objective.
 
     Advantages are per-step discounted returns minus a running per-state
-    baseline; gradients are computed in closed form.
+    baseline; gradients are computed in closed form. Training consumes `env`,
+    as in `train_dqn`.
     """
-    env = env_factory()
     rng = np.random.default_rng(config.seed)
     theta = np.zeros((env.n_states, env.n_actions))
     baseline = np.zeros(env.n_states)
@@ -419,7 +414,8 @@ def train_ppo(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Po
             baseline_count[s] += 1
             baseline[s] += (g - baseline[s]) / baseline_count[s]
         old_logp = np.log(probs[states_a, actions_a])
-        coeff = entropy_coefficient(config, episodes_done)
+        coeff = linear_schedule(config.entropy_coeff_start, config.entropy_coeff_end,
+                                episodes_done, config.episodes)
         for _ in range(config.ppo_epochs):
             _, grad = ppo_objective_and_grad(
                 theta, states_a, actions_a, advantages, old_logp,
@@ -431,7 +427,8 @@ def train_ppo(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Po
                   seed=config.seed)
 
 
-def train(env_factory: Callable[[], EpisodicEnv], config: TrainConfig) -> Policy:
+def train(env: EpisodicEnv, config: TrainConfig) -> Policy:
+    """Train `config.algorithm` against `env`, which the call consumes."""
     if config.algorithm == "PPO":
-        return train_ppo(env_factory, config)
-    return train_dqn(env_factory, config)
+        return train_ppo(env, config)
+    return train_dqn(env, config)

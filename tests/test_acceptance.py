@@ -72,7 +72,7 @@ def test_criterion_02_rl_oracle_equivalence(announce):
                 config = TrainConfig(algorithm=algorithm, learning_rate=lr,
                                      episodes=3000, gamma=mdp.gamma, seed=seed,
                                      max_episode_steps=100)
-                policy = train(lambda m=mdp: MDPEnv(m), config)
+                policy = train(MDPEnv(mdp), config)
                 match = float(np.mean(
                     [policy.greedy(s) == vi.policy[s] for s in reach]))
                 results.append((name, algorithm, seed, match))

@@ -358,6 +358,15 @@ def simulate_config(doc):
     return ["simulate", "--config", doc]
 
 
+def proposed_env(env):
+    """A one-episode Proposed evaluate whose policy always blocks the build,
+    so that the ledger's timestamps hold the block's step and delay."""
+    policy = policy_doc(300, 8, actions=[a.name for a in MitigationAction],
+                        params=[[0.0, 1.0] + [0.0] * 6] * 300)
+    return ["evaluate", "--arm", "Proposed", "--policy", policy, "--episodes", "1",
+            "--config", {"env": env}, "--out", OUT]
+
+
 def train_config(**train):
     return ["train", "--config", {"train": train}, "--out", OUT]
 
@@ -392,6 +401,12 @@ MALFORMED = [
      "unknown delays fields: ['BLOK_BUILD']"),
     ("env-decoy-probability", simulate_config({"env": {"decoy_probability": 7}}),
      "decoy_probability must be in [0, 1]"),
+    ("env-step-minutes-1e20", proposed_env({"step_minutes": 1e20}),
+     "step_minutes must be >= 0 and <= 1000000"),
+    ("env-step-minutes-1e308", proposed_env({"step_minutes": 1e308}),
+     "step_minutes must be >= 0 and <= 1000000"),
+    ("env-delays-1e308", proposed_env({"delays": {"BLOCK_BUILD": 1e308}}),
+     "delays BLOCK_BUILD must be >= 0 and <= 1000000"),
     ("env-acceptance", simulate_config({"env": {"acceptance": {"REQUEST_REVIEW": 3}}}),
      "acceptance REQUEST_REVIEW must be in [0, 1]"),
     ("scenario-payload-str", ["simulate", "--scenarios", [

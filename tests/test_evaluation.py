@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pipeguard import ledger as ledger_mod
+from pipeguard import evaluation, learning, ledger as ledger_mod
 from pipeguard.env import (
     ConfigError,
     EnvConfig,
@@ -17,6 +17,7 @@ from pipeguard.evaluation import (
     ARM_ORDER,
     BaselineKind,
     ClassMetrics,
+    DefenseEpisodeEnv,
     EpisodeRecord,
     ExperimentOptions,
     MetricsReport,
@@ -220,6 +221,44 @@ class TestArms:
         assert on[2] is not None and off[2] is None
         assert on[0] == off[0]
         assert on[1] == off[1]
+
+
+class TestTrainingEnv:
+    @pytest.mark.parametrize("env_config", [EnvConfig(), EnvConfig(max_steps_per_stage=3)],
+                             ids=["default", "three-steps-per-stage"])
+    def test_training_sees_the_states_evaluation_acts_on(
+            self, suite, proposed_policy, monkeypatch, env_config):
+        seed, episodes = 7, 40
+        env = DefenseEpisodeEnv(suite, seed, env_config)
+        trained = []
+        for _ in range(episodes):
+            sid, done = env.reset(None), False
+            while not done:
+                action = proposed_policy.greedy(sid)
+                trained.append((sid, action))
+                sid, _, done = env.step(action)
+
+        state_ids, actions, prior_alerts = [], [], []
+        encode, walk = learning.encode_state, evaluation.episode_steps
+
+        def recording_encode(state, assessment, prior):
+            prior_alerts.append(prior)
+            state_ids.append(encode(state, assessment, prior))
+            return state_ids[-1]
+
+        def recording_walk(*args):
+            for step in walk(*args):
+                actions.append(int(step.decision.action))
+                yield step
+        monkeypatch.setattr(learning, "encode_state", recording_encode)
+        monkeypatch.setattr(evaluation, "episode_steps", recording_walk)
+        run_experiment(BaselineKind.PROPOSED, suite, seed, proposed_policy,
+                       ExperimentOptions(episodes=episodes, env_config=env_config,
+                                         ledger_enabled=False))
+        assert list(zip(state_ids, actions, strict=True)) == trained
+        if env_config.max_steps_per_stage > 1:
+            # Longer runs count more alerts than encode_state keeps apart.
+            assert max(prior_alerts) >= learning.N_PRIOR_ALERTS
 
 
 class TestAblation:

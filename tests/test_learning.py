@@ -17,7 +17,7 @@ from pipeguard.learning import (
     action_values,
     bellman_residual,
     encode_state,
-    entropy_coefficient,
+    linear_schedule,
     load_policy,
     optimal_reachable_states,
     ppo_objective_and_grad,
@@ -238,11 +238,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig.from_dict(doc)
 
-    def test_entropy_schedule_endpoints(self):
-        cfg = TrainConfig(algorithm="PPO", episodes=100,
-                          entropy_coeff_start=0.01, entropy_coeff_end=0.0)
-        assert entropy_coefficient(cfg, 0) == pytest.approx(0.01)
-        assert entropy_coefficient(cfg, 99) == pytest.approx(0.0)
+    def test_linear_schedule_endpoints(self):
+        # PPO's entropy coefficient and DQN's epsilon share one schedule.
+        cfg = TrainConfig(entropy_coeff_start=0.01, entropy_coeff_end=0.0)
+        for start, end in ((cfg.entropy_coeff_start, cfg.entropy_coeff_end),
+                           (cfg.epsilon_start, cfg.epsilon_end)):
+            assert linear_schedule(start, end, 0, 100) == pytest.approx(start)
+            assert linear_schedule(start, end, 99, 100) == pytest.approx(end)
+            for episodes in (0, 1):
+                assert linear_schedule(start, end, 0, episodes) == start
 
 
 class TestTraining:
@@ -250,7 +254,7 @@ class TestTraining:
         mdp = toy_compromise_mdp()
         cfg = TrainConfig(algorithm="DQN", learning_rate=0.2, episodes=800,
                           gamma=mdp.gamma, seed=3, max_episode_steps=50)
-        policy = train_dqn(lambda: MDPEnv(mdp), cfg)
+        policy = train_dqn(MDPEnv(mdp), cfg)
         assert policy.greedy(0) == 0
         assert policy.greedy(1) == 1
 
@@ -258,7 +262,7 @@ class TestTraining:
         mdp = toy_compromise_mdp()
         cfg = TrainConfig(algorithm="PPO", learning_rate=0.5, episodes=800,
                           gamma=mdp.gamma, seed=3, max_episode_steps=50)
-        policy = train_ppo(lambda: MDPEnv(mdp), cfg)
+        policy = train_ppo(MDPEnv(mdp), cfg)
         assert policy.kind == "linear-softmax"
         assert policy.greedy(0) == 0
         assert policy.greedy(1) == 1
@@ -267,14 +271,14 @@ class TestTraining:
         mdp = toy_compromise_mdp()
         cfg = TrainConfig(algorithm="DQN", learning_rate=0.2, episodes=100,
                           gamma=mdp.gamma, seed=3)
-        p1 = train(lambda: MDPEnv(mdp), cfg)
-        p2 = train(lambda: MDPEnv(mdp), cfg)
+        p1 = train(MDPEnv(mdp), cfg)
+        p2 = train(MDPEnv(mdp), cfg)
         np.testing.assert_array_equal(p1.params, p2.params)
 
     def test_zero_episodes_yields_neutral_policy(self):
         mdp = toy_compromise_mdp()
         cfg = TrainConfig(algorithm="DQN", episodes=0, gamma=mdp.gamma)
-        policy = train(lambda: MDPEnv(mdp), cfg)
+        policy = train(MDPEnv(mdp), cfg)
         assert np.all(policy.params == 0.0)
         assert policy.greedy(0) == 0
 
