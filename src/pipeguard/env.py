@@ -32,6 +32,15 @@ class PipelineStage(IntEnum):
     DEPLOYMENT = 4
 
 
+# Each stage's name in scenario files and outputs, indexed by PipelineStage.
+STAGE_NAMES = ("SourceManagement", "DependencyResolution", "Build",
+               "ArtifactPackaging", "Deployment")
+
+
+def stage_name(stage: PipelineStage) -> str:
+    return STAGE_NAMES[stage]
+
+
 class SignalKind(str, Enum):
     COMMIT_DIFF = "commit_diff"
     SBOM_ENTRY = "sbom_entry"
@@ -164,10 +173,12 @@ _SCENARIO_FIELDS = {
 
 def scenario_from_dict(obj: dict) -> AttackScenario:
     check_fields(obj, _SCENARIO_FIELDS, "scenario", required=_SCENARIO_FIELDS)
+    if obj["stage"] not in STAGE_NAMES:
+        raise ConfigError(f"unknown pipeline stage: {obj['stage']!r}")
     scenario = AttackScenario(
         id=obj["id"],
         vuln_class=VulnerabilityClass(obj["class"]),
-        stage=PipelineStage[_stage_key(obj["stage"])],
+        stage=PipelineStage(STAGE_NAMES.index(obj["stage"])),
         payload=tuple(obj["payload"]),
         syntactic_detectable=obj["syntactic_detectable"],
         semantic_detectable=obj["semantic_detectable"],
@@ -187,27 +198,6 @@ def scenario_to_dict(s: AttackScenario) -> dict:
         "semantic_detectable": s.semantic_detectable,
         "severity": s.severity,
     }
-
-
-_STAGE_NAMES = {
-    "SourceManagement": "SOURCE_MANAGEMENT",
-    "DependencyResolution": "DEPENDENCY_RESOLUTION",
-    "Build": "BUILD",
-    "ArtifactPackaging": "ARTIFACT_PACKAGING",
-    "Deployment": "DEPLOYMENT",
-}
-_STAGE_NAMES_REV = {v: k for k, v in _STAGE_NAMES.items()}
-
-
-def _stage_key(name: str) -> str:
-    try:
-        return _STAGE_NAMES[name]
-    except KeyError:
-        raise ConfigError(f"unknown pipeline stage: {name!r}") from None
-
-
-def stage_name(stage: PipelineStage) -> str:
-    return _STAGE_NAMES_REV[stage.name]
 
 
 def load_json(path: str):
@@ -293,11 +283,10 @@ class EnvState:
     paused: bool = False
     # Scenarios scheduled for stages not yet reached (hidden from agents).
     pending_attacks: tuple[AttackScenario, ...] = ()
-    # Markers for reversible side effects ("quarantine:<id>", "patch:<id>", ...)
-    effects: tuple[str, ...] = ()
     # Simulated-minute timestamp at which each scenario went live.
     injection_clock: tuple[tuple[str, float], ...] = ()
-    mitigated_ids: tuple[str, ...] = ()
+    # Whether the run was scheduled with any attack.
+    attacked: bool = False
 
 
 @dataclass(frozen=True)
@@ -475,15 +464,12 @@ INVERTIBLE_ACTIONS = {
     MitigationAction.OPEN_GUARD_PULL_REQUEST,
 }
 
-_EFFECT_TAG = {
-    MitigationAction.QUARANTINE_DEPENDENCY: "quarantine",
-    MitigationAction.PAUSE_BUILD: "pause",
-    MitigationAction.APPLY_CONFIG_PATCH: "patch",
-    MitigationAction.REVOKE_CREDENTIALS: "revoke",
-    MitigationAction.OPEN_GUARD_PULL_REQUEST: "guard_pr",
-    MitigationAction.BLOCK_BUILD: "block",
-    MitigationAction.REQUEST_REVIEW: "review",
-}
+
+def rollback_succeeds(pre: EnvState, action: MitigationAction) -> bool:
+    """Whether undoing `action`, taken from `pre`, restores `pre`: the action
+    must have an inverse, and undoing it unpauses the run, so `pre` must not
+    have been paused."""
+    return action in INVERTIBLE_ACTIONS and not pre.paused
 
 
 class PipelineEnv:
@@ -510,6 +496,7 @@ class PipelineEnv:
             rng_seed=seed,
             done=False,
             pending_attacks=tuple(scenarios),
+            attacked=bool(scenarios),
         )
         return self._enter_stage(state, PipelineStage.SOURCE_MANAGEMENT)
 
@@ -533,13 +520,7 @@ class PipelineEnv:
         )
         reward = compute_reward(outcome, self.config.reward)
 
-        mitigated_ids = {a.id for a in mitigated}
-        signals = tuple(
-            s for s in state.signals if s.origin_attack not in mitigated_ids
-        )
-        effects = state.effects
-        if intervention and action in _EFFECT_TAG:
-            effects = effects + (f"{_EFFECT_TAG[action]}:{state.step}",)
+        cleared = {a.id for a in mitigated}
 
         # A run ends on a block or when the last stage runs out of steps; a
         # finished run keeps its steps_in_stage, a live one counts on or, at
@@ -557,14 +538,12 @@ class PipelineEnv:
         nxt = EnvState(**{
             **state.__dict__,
             "active_attacks": tuple(a for a in state.active_attacks
-                                    if a.id not in mitigated_ids),
-            "signals": signals,
+                                    if a.id not in cleared),
+            "signals": tuple(s for s in state.signals if s.origin_attack not in cleared),
             "step": state.step + 1,
             "build_delay": state.build_delay + delay_inc,
             "clock_minutes": state.clock_minutes + self.config.step_minutes + delay_inc,
             "paused": action is MitigationAction.PAUSE_BUILD,
-            "effects": effects,
-            "mitigated_ids": state.mitigated_ids + tuple(sorted(mitigated_ids)),
             "done": done,
             "steps_in_stage": steps_in_stage,
         })
@@ -584,37 +563,12 @@ class PipelineEnv:
             paused=True,
             build_delay=state.build_delay + cost,
             clock_minutes=state.clock_minutes + cost,
-            effects=state.effects + (f"pause:{state.step}",),
         )
 
     def resume(self, state: EnvState) -> EnvState:
         if not state.paused:
             raise ContractViolation("run is not paused")
-        restored = self.invert(state, MitigationAction.PAUSE_BUILD)
-        return restored if restored is not None else replace(state, paused=False)
-
-    # -- rollback probing ----------------------------------------------------
-
-    def invert(self, post: EnvState, action: MitigationAction) -> Optional[EnvState]:
-        """Apply the inverse of the most recent application of `action`.
-
-        Returns None when the action has no inverse (e.g. a terminated run).
-        """
-        if action not in INVERTIBLE_ACTIONS:
-            return None
-        tag = _EFFECT_TAG[action]
-        for i in range(len(post.effects) - 1, -1, -1):
-            if post.effects[i].startswith(tag + ":"):
-                effects = post.effects[:i] + post.effects[i + 1:]
-                return replace(post, effects=effects, paused=False)
-        return None
-
-    def rollback_succeeds(self, pre: EnvState, post: EnvState,
-                          action: MitigationAction) -> bool:
-        restored = self.invert(post, action)
-        if restored is None:
-            return False
-        return restored.effects == pre.effects and restored.paused == pre.paused
+        return replace(state, paused=False)
 
     # -- internals -----------------------------------------------------------
 
@@ -642,9 +596,7 @@ class PipelineEnv:
                     new_signals.append(ObservationSignal(
                         stage, kind, token, origin_attack=a.id,
                     ))
-        benign_run = not (state.pending_attacks or state.active_attacks
-                          or state.mitigated_ids)
-        if (benign_run or not self.config.decoys_only_benign) \
+        if (not state.attacked or not self.config.decoys_only_benign) \
                 and unit_draw("decoy", seed, stage.value) < self.config.decoy_probability:
             idx = int(unit_draw("decoy-pick", seed, stage.value) * len(DEFAULT_DECOYS))
             kind, token = DEFAULT_DECOYS[min(idx, len(DEFAULT_DECOYS) - 1)]

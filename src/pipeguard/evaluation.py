@@ -36,6 +36,7 @@ from .env import (
     VulnerabilityClass,
     check_fields,
     observe,
+    rollback_succeeds,
     scenario_to_dict,
     unit_draw,
 )
@@ -418,9 +419,8 @@ def episode_steps(decide: Callable[[EnvState, int], Decision],
 
 
 def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
-                    pipeline: PipelineEnv, ep_seed: int, index: int,
-                    options: ExperimentOptions, arm: BaselineKind) -> EpisodeRecord:
-    injected_clock = dict(steps[0].pre_state.injection_clock)
+                    ep_seed: int, index: int, options: ExperimentOptions,
+                    arm: BaselineKind) -> EpisodeRecord:
     predicted: set[str] = set()
     mitigations: list[Mitigation] = []
     interventions = 0
@@ -428,7 +428,6 @@ def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
     requested_review = False
     total_return = 0.0
     for pre_state, (verdict, action, _severity), transition in steps:
-        injected_clock.update(dict(transition.next_state.injection_clock))
         total_return += transition.reward
         if action is not MitigationAction.ALLOW_CONTINUE:
             interventions += 1
@@ -442,14 +441,13 @@ def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
             mitigations.append(Mitigation(
                 attack_id=attack.id,
                 vuln_class=attack.vuln_class.value,
-                injected_clock=injected_clock.get(attack.id, 0.0),
+                injected_clock=dict(pre_state.injection_clock)[attack.id],
                 mitigated_clock=pre_state.clock_minutes,
                 action=action.name,
                 autonomous=(arm not in HUMAN_GATED
                             and action is not MitigationAction.REQUEST_REVIEW
                             and not requested_review),
-                rollback_ok=pipeline.rollback_succeeds(
-                    pre_state, transition.next_state, action),
+                rollback_ok=rollback_succeeds(pre_state, action),
                 developer_accepted=transition.outcome.developer_accepted,
             ))
     final = steps[-1].transition.next_state
@@ -537,8 +535,7 @@ def run_experiment(
     for i in range(options.episodes):
         scenarios, ep_seed = _plan_episode(seed, i, suite, options.benign_fraction)
         steps = list(episode_steps(stack.decide, pipeline, scenarios, ep_seed))
-        record = _episode_record(steps, scenarios, pipeline, ep_seed, i,
-                                 options, arm)
+        record = _episode_record(steps, scenarios, ep_seed, i, options, arm)
         if artifacts is not None:
             ledger_mod.append_block(
                 artifacts.chain, _ledger_entries(steps, global_clock),

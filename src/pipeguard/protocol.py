@@ -17,9 +17,9 @@ from .env import (
     EnvState,
     MitigationAction,
     PipelineEnv,
+    STAGE_NAMES,
     SignalKind,
     stage_name,
-    _STAGE_NAMES,
 )
 
 PROTOCOL_VERSION = "1.0"
@@ -196,7 +196,7 @@ class SimulatedConnector:
     def fetch_logs(self, params: dict) -> dict:
         handle = self._run(params)
         stage = _str_param(params, "stage")
-        if stage is not None and stage not in _STAGE_NAMES:
+        if stage is not None and stage not in STAGE_NAMES:
             raise ProtocolError(ILLEGAL_ACTION, f"unknown stage: {stage}")
         logs = [
             {"stage": stage_name(s.stage), "content": s.content}

@@ -188,14 +188,16 @@ class TestSweep:
 
 def episode_states(env, scenarios, seed):
     """Every pre-state of one episode, acting by turns with actions that
-    mitigate some attacks without ending the run."""
+    mitigate some attacks without ending the run, each paired with whether
+    an earlier step mitigated an attack."""
     actions = [MitigationAction.ALLOW_CONTINUE, MitigationAction.REVOKE_CREDENTIALS,
                MitigationAction.APPLY_CONFIG_PATCH, MitigationAction.QUARANTINE_DEPENDENCY]
     states = []
-    state = env.reset(scenarios, seed)
+    state, mitigated = env.reset(scenarios, seed), False
     while not state.done:
-        states.append(state)
-        state = env.step(state, actions[len(states) % len(actions)]).next_state
+        states.append((state, mitigated))
+        transition = env.step(state, actions[len(states) % len(actions)])
+        state, mitigated = transition.next_state, mitigated or bool(transition.mitigated)
     return states
 
 
@@ -204,13 +206,14 @@ class TestDetector:
         # Decoys on every run, attacked ones too.
         env = PipelineEnv(EnvConfig(decoy_probability=0.5, decoys_only_benign=False))
         runs = [[]] * 4 + [[s] for s in calibration_suite()]
-        states = [state for seed, scenarios in enumerate(runs)
-                  for state in episode_states(env, scenarios, seed)]
+        walked = [pair for seed, scenarios in enumerate(runs)
+                  for pair in episode_states(env, scenarios, seed)]
+        states = [state for state, _ in walked]
         assert any(s.origin_attack is None and s.content in
                    ("obfuscated_string_concat", "nested_object_graph",
                     "unused_privilege_grant", "implicit_default_config")
                    for state in states if state.active_attacks for s in state.signals)
-        assert any(state.mitigated_ids and state.signals for state in states)
+        assert any(mitigated and state.signals for state, mitigated in walked)
         for correlation in (True, False):
             detector = Detector(correlation)
             reasoner = RuleBasedReasoner(correlation_enabled=correlation)

@@ -25,6 +25,7 @@ from pipeguard.env import (
     load_scenarios,
     mitigates,
     observe,
+    rollback_succeeds,
     scenario_from_dict,
     scenario_to_dict,
     unit_draw,
@@ -208,14 +209,15 @@ class TestScriptedEpisodes:
     # sha256 of the repr of the reset state and of every Transition (which
     # holds its next state), one per line, captured before EnvState was
     # built with one constructor call per step, then re-derived with the
-    # removed terminal_outcome field cut from each line.
+    # removed terminal_outcome and effects fields cut from each line and
+    # mitigated_ids=(...) replaced by attacked=<whether any scenario ran>.
     DIGESTS = {
         "benign-exhausts-last-stage":
-            "40c7dad8f3ec7cc95ce3c1181a5a7753e7b3a35b0fc1dd73ecccf0a818401649",
+            "0471a71d05c8aa563257fe5cea0cdc404f501f2e030190783ca021f379e86556",
         "block-build":
-            "3103e3351e30763c75a814c805974fabac20ffc330632699849ce839b21dad6f",
+            "7200e792fba8c5605c17720977da1f1c650122a1c2c8f671f09920021e223dd1",
         "pause-and-every-action":
-            "1585ad5ea8fca2c5e5575817ed0fc9b0012d1abde545aee2ec96f21ba733e905",
+            "2b25396d5c4ff238f4da78209f8af04ec47cf8ee17a7f37d3d20ee80efd4f233",
     }
 
     @pytest.mark.parametrize("name", sorted(SCRIPTED_EPISODES))
@@ -374,16 +376,28 @@ class TestPauseResumeRollback:
         s = make_scenario(vuln_class=VulnerabilityClass.MISCONFIGURATION)
         state = env.reset([s], 3)
         t = env.step(state, MitigationAction.APPLY_CONFIG_PATCH)
-        assert env.rollback_succeeds(state, t.next_state,
-                                     MitigationAction.APPLY_CONFIG_PATCH)
+        assert t.mitigated == (s,)
+        assert rollback_succeeds(state, MitigationAction.APPLY_CONFIG_PATCH)
 
     def test_block_build_is_not_invertible(self):
         env = PipelineEnv()
         state = env.reset([make_scenario()], 3)
         t = env.step(state, MitigationAction.BLOCK_BUILD)
-        assert env.invert(t.next_state, MitigationAction.BLOCK_BUILD) is None
-        assert not env.rollback_succeeds(state, t.next_state,
-                                         MitigationAction.BLOCK_BUILD)
+        assert t.done
+        assert not rollback_succeeds(state, MitigationAction.BLOCK_BUILD)
+
+    def test_rollback_fails_from_a_paused_run(self):
+        # Undoing the patch would also unpause the run, so it cannot restore it.
+        env = PipelineEnv()
+        s = make_scenario(vuln_class=VulnerabilityClass.MISCONFIGURATION)
+        paused = env.pause(env.reset([s], 3))
+        t = env.step(paused, MitigationAction.APPLY_CONFIG_PATCH)
+        assert t.mitigated == (s,)
+        assert not rollback_succeeds(paused, MitigationAction.APPLY_CONFIG_PATCH)
+
+    def test_review_is_not_invertible(self):
+        state = PipelineEnv().reset([make_scenario()], 3)
+        assert not rollback_succeeds(state, MitigationAction.REQUEST_REVIEW)
 
 
 class TestDeveloperModel:
