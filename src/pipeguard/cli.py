@@ -83,23 +83,6 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _experiment_options(doc: dict, episodes: int | None) -> evaluation.ExperimentOptions:
-    section = doc.get("evaluate", {})
-    check_fields(section, {"episodes": int, "benign_fraction": float, "ledger_enabled": bool,
-                           "playbook_latency": float}, "evaluate config")
-    options = evaluation.ExperimentOptions(
-        env_config=env_config_from_dict(doc.get("env", {})), **section)
-    if episodes is not None:
-        options.episodes = episodes
-    if options.episodes < 1:
-        raise ConfigError("episodes must be >= 1")
-    if not (0.0 <= options.benign_fraction < 1.0):
-        raise ConfigError("benign_fraction must be in [0, 1)")
-    if options.playbook_latency < 0:
-        raise ConfigError("playbook_latency must be >= 0")
-    return options
-
-
 @click.group()
 def main():
     """Simulated CI/CD supply-chain defense loop."""
@@ -208,14 +191,19 @@ def evaluate(arm, suite_path, policy_path, episodes, disable_csv, config_path,
     """Run one evaluation arm over the scenario suite and write reports."""
     doc = _load_config(config_path)
     suite = _load_suite(suite_path)
-    options = _experiment_options(doc, episodes)
+    section = doc.get("evaluate", {})
+    check_fields(section, {"episodes": int, "benign_fraction": float, "ledger_enabled": bool,
+                           "playbook_latency": float}, "evaluate config")
+    if episodes is not None:
+        section = {**section, "episodes": episodes}
+    options = evaluation.ExperimentOptions(
+        env_config=env_config_from_dict(doc.get("env", {})), **section)
     kind = evaluation.BaselineKind(arm)
     if policy_path and kind not in (evaluation.BaselineKind.RL_ONLY,
                                     evaluation.BaselineKind.PROPOSED):
         raise ConfigError("--policy applies to the RLOnly and Proposed arms only")
     policy = learning.load_policy(policy_path) if policy_path else None
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if disable_csv is not None:
         if kind is not evaluation.BaselineKind.PROPOSED:
             raise ConfigError("--disable applies to the Proposed arm only")
@@ -251,7 +239,6 @@ def compare(reports, out_dir):
     loaded = [evaluation.MetricsReport.from_dict(load_json(path)) for path in reports]
     tables = evaluation.compare(loaded)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "tables.json", tables)
     for name, text in evaluation.comparison_csv(tables).items():
         (out / f"{name}.csv").write_text(text, encoding="utf-8")

@@ -154,7 +154,7 @@ class AttackScenario:
     semantic_detectable: bool
     severity: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.payload:
             raise ConfigError(f"scenario {self.id}: payload must be non-empty")
         if not (self.syntactic_detectable or self.semantic_detectable):
@@ -175,7 +175,7 @@ def scenario_from_dict(obj: dict) -> AttackScenario:
     check_fields(obj, _SCENARIO_FIELDS, "scenario", required=_SCENARIO_FIELDS)
     if obj["stage"] not in STAGE_NAMES:
         raise ConfigError(f"unknown pipeline stage: {obj['stage']!r}")
-    scenario = AttackScenario(
+    return AttackScenario(
         id=obj["id"],
         vuln_class=VulnerabilityClass(obj["class"]),
         stage=PipelineStage(STAGE_NAMES.index(obj["stage"])),
@@ -184,8 +184,6 @@ def scenario_from_dict(obj: dict) -> AttackScenario:
         semantic_detectable=obj["semantic_detectable"],
         severity=float(obj["severity"]),
     )
-    scenario.validate()
-    return scenario
 
 
 def scenario_to_dict(s: AttackScenario) -> dict:
@@ -250,7 +248,7 @@ class RewardParams:
     delta: float = 0.01
     eta: float = 0.25
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("alpha", "beta", "delta", "eta"):
             v = getattr(self, name)
             if not (v >= 0.0 and v == v and v != float("inf")):
@@ -351,6 +349,11 @@ DEFAULT_DECOYS = [
 ]
 
 
+# Cap on step_minutes and each delays value: the ledger's u64 minute timestamps
+# then overflow only after ~9.2e12 decisions, past any run that fits in memory.
+MAX_MINUTES = 10**6
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     reward: RewardParams = field(default_factory=RewardParams)
@@ -360,6 +363,20 @@ class EnvConfig:
     decoys_only_benign: bool = True
     delays: dict = field(default_factory=dict)          # action name -> minutes
     acceptance: dict = field(default_factory=dict)      # action name -> probability
+
+    def __post_init__(self):
+        if self.max_steps_per_stage < 1:
+            raise ConfigError("max_steps_per_stage must be >= 1")
+        if not 0 <= self.step_minutes <= MAX_MINUTES:
+            raise ConfigError(f"step_minutes must be >= 0 and <= {MAX_MINUTES}")
+        if not 0.0 <= self.decoy_probability <= 1.0:
+            raise ConfigError("decoy_probability must be in [0, 1]")
+        for name, minutes in self.delays.items():
+            if not 0 <= minutes <= MAX_MINUTES:
+                raise ConfigError(f"delays {name} must be >= 0 and <= {MAX_MINUTES}")
+        for name, p in self.acceptance.items():
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"acceptance {name} must be in [0, 1]")
 
     def action_delay(self, action: MitigationAction) -> float:
         if action.name in self.delays:
@@ -374,10 +391,6 @@ class EnvConfig:
         return DEFAULT_ACCEPTANCE.get(action, 1.0)
 
 
-# Cap on step_minutes and each delays value: the ledger's u64 minute timestamps
-# then overflow only after ~9.2e12 decisions, past any run that fits in memory.
-MAX_MINUTES = 10**6
-
 _ENV_CONFIG_FIELDS = {
     "reward": dict, "max_steps_per_stage": int, "step_minutes": float,
     "decoy_probability": float, "decoys_only_benign": bool, "delays": dict, "acceptance": dict,
@@ -391,21 +404,7 @@ def env_config_from_dict(obj: dict) -> EnvConfig:
     check_fields(obj.get("reward", {}), _REWARD_FIELDS, "reward")
     for name in ("delays", "acceptance"):
         check_fields(obj.get(name, {}), _PER_ACTION_FIELDS, name)
-    cfg = EnvConfig(**{**obj, "reward": RewardParams(**obj.get("reward", {}))})
-    cfg.reward.validate()
-    if cfg.max_steps_per_stage < 1:
-        raise ConfigError("max_steps_per_stage must be >= 1")
-    if not 0 <= cfg.step_minutes <= MAX_MINUTES:
-        raise ConfigError(f"step_minutes must be >= 0 and <= {MAX_MINUTES}")
-    if not 0.0 <= cfg.decoy_probability <= 1.0:
-        raise ConfigError("decoy_probability must be in [0, 1]")
-    for name, minutes in cfg.delays.items():
-        if not 0 <= minutes <= MAX_MINUTES:
-            raise ConfigError(f"delays {name} must be >= 0 and <= {MAX_MINUTES}")
-    for name, p in cfg.acceptance.items():
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"acceptance {name} must be in [0, 1]")
-    return cfg
+    return EnvConfig(**{**obj, "reward": RewardParams(**obj.get("reward", {}))})
 
 
 def attack_signal_kind(vuln_class: VulnerabilityClass, stage: PipelineStage) -> SignalKind:
@@ -481,8 +480,6 @@ class PipelineEnv:
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, scenarios: list[AttackScenario], seed: int) -> EnvState:
-        for s in scenarios:
-            s.validate()
         run_id = "run-" + hashlib.sha256(
             ("|".join(sorted(s.id for s in scenarios)) + f"|{seed}").encode()
         ).hexdigest()[:16]

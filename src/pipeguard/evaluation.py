@@ -49,12 +49,7 @@ class BaselineKind(str, Enum):
     PROPOSED = "Proposed"
 
 
-ARM_ORDER = (
-    BaselineKind.RULE_BASED,
-    BaselineKind.PROVENANCE_ONLY,
-    BaselineKind.RL_ONLY,
-    BaselineKind.PROPOSED,
-)
+ARM_ORDER = tuple(BaselineKind)
 
 # Post-detection actuation latency per arm, simulated minutes. The two
 # non-autonomous arms pay a human review constant; the policy-only arm pays a
@@ -109,6 +104,14 @@ class ExperimentOptions:
     use_policy: bool = True
     # Proposed's arm latency when RL is disabled and a static playbook acts.
     playbook_latency: float = 10.0
+
+    def __post_init__(self):
+        if self.episodes < 1:
+            raise ConfigError("episodes must be >= 1")
+        if not (0.0 <= self.benign_fraction < 1.0):
+            raise ConfigError("benign_fraction must be in [0, 1)")
+        if self.playbook_latency < 0:
+            raise ConfigError("playbook_latency must be >= 0")
 
 
 @dataclass

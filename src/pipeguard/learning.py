@@ -69,9 +69,6 @@ class MDPSpec:
             self.start[0] = 1.0
         else:
             self.start = np.asarray(self.start, dtype=float)
-        self.validate()
-
-    def validate(self) -> None:
         n_s, n_a = len(self.states), len(self.actions)
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must be in [0, 1)")
@@ -229,27 +226,25 @@ class TrainConfig:
             raise ConfigError("episodes must be >= 0")
         if self.learning_rate is None:
             self.learning_rate = 3e-4 if self.algorithm == "PPO" else 1e-4
+        if self.seed < 0 or self.batch_size < 1 or self.max_episode_steps < 1:
+            raise ConfigError("seed must be >= 0, batch_size and max_episode_steps >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
+        if not 0.0 < self.clip_epsilon < 1.0:
+            raise ConfigError("clip_epsilon must be in (0, 1)")
+        if not (0.0 <= self.epsilon_start <= 1.0 and 0.0 <= self.epsilon_end <= 1.0):
+            raise ConfigError("epsilon_start and epsilon_end must be in [0, 1]")
+        if self.ppo_epochs < 1:
+            raise ConfigError("ppo_epochs must be >= 1")
+        if self.entropy_coeff_start < 0 or self.entropy_coeff_end < 0:
+            raise ConfigError("entropy_coeff_start and entropy_coeff_end must be >= 0")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
         # Each field takes its default's kind; learning_rate defaults to None.
         spec = {f.name: type(f.default) for f in fields(cls)} | {"learning_rate": float}
         check_fields(obj, spec, "training config")
-        config = cls(**obj)
-        # Ranges __post_init__ leaves out, so that configs built in code pay nothing.
-        if config.seed < 0 or config.batch_size < 1 or config.max_episode_steps < 1:
-            raise ConfigError("seed must be >= 0, batch_size and max_episode_steps >= 1")
-        if config.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if not 0.0 < config.clip_epsilon < 1.0:
-            raise ConfigError("clip_epsilon must be in (0, 1)")
-        if not (0.0 <= config.epsilon_start <= 1.0 and 0.0 <= config.epsilon_end <= 1.0):
-            raise ConfigError("epsilon_start and epsilon_end must be in [0, 1]")
-        if config.ppo_epochs < 1:
-            raise ConfigError("ppo_epochs must be >= 1")
-        if config.entropy_coeff_start < 0 or config.entropy_coeff_end < 0:
-            raise ConfigError("entropy_coeff_start and entropy_coeff_end must be >= 0")
-        return config
+        return cls(**obj)
 
 
 def linear_schedule(start: float, end: float, episode: int, episodes: int) -> float:

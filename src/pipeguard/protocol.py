@@ -58,7 +58,7 @@ class Envelope:
     result: Optional[dict] = None
     error: Optional[dict] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.version != PROTOCOL_VERSION:
             raise FrameError(f"unsupported version {self.version!r}")
         if self.kind not in ("request", "response", "event"):
@@ -82,7 +82,6 @@ class Envelope:
 
 def encode_message(envelope: Envelope) -> bytes:
     """One envelope per line; keys in fixed order, no extra whitespace."""
-    envelope.validate()
     doc = {}
     for key in _KEY_ORDER:
         value = getattr(envelope, key)
@@ -113,7 +112,7 @@ def decode_message(frame: bytes) -> Envelope:
         raise FrameError("missing field: version")
     if "kind" not in doc:
         raise FrameError("missing field: kind")
-    envelope = Envelope(
+    return Envelope(
         version=doc["version"],
         id=doc.get("id"),
         kind=doc["kind"],
@@ -122,8 +121,6 @@ def decode_message(frame: bytes) -> Envelope:
         result=doc.get("result"),
         error=doc.get("error"),
     )
-    envelope.validate()
-    return envelope
 
 
 Handler = Callable[[dict], dict]

@@ -10,7 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from pipeguard import learning, ledger
 from pipeguard.cli import main
-from pipeguard.env import AgentRole, MitigationAction, OutcomeFlags
+from pipeguard.env import (
+    AgentRole,
+    AttackScenario,
+    ConfigError,
+    EnvConfig,
+    MitigationAction,
+    OutcomeFlags,
+    PipelineStage,
+    RewardParams,
+    VulnerabilityClass,
+)
+from pipeguard.evaluation import ExperimentOptions
+from pipeguard.learning import TrainConfig
+from pipeguard.protocol import Envelope, FrameError
 
 
 @pytest.fixture()
@@ -181,6 +194,16 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+    @pytest.mark.parametrize("args", [
+        ["--arm", "RuleBased", "--disable", "rl"],
+        ["--arm", "Proposed", "--disable", "bogus"],
+        ["--arm", "Proposed"],
+    ], ids=["disable-on-baseline", "unknown-target", "no-policy"])
+    def test_config_error_leaves_no_out_directory(self, runner, tmp_path, args):
+        out = tmp_path / "o1"
+        assert_error_line(runner.invoke(main, ["evaluate", *args, "--out", str(out)]))
+        assert not out.exists()
 
     def test_disable_on_baseline_arm_rejected(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -497,6 +520,33 @@ def assert_error_line(result, exit_code=2):
 def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, message):
     result = runner.invoke(main, materialize(args, tmp_path))
     assert message in assert_error_line(result)
+
+
+# The same checks hold for a value built in code, without a file.
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: TrainConfig(batch_size=0), ConfigError,
+     "seed must be >= 0, batch_size and max_episode_steps >= 1"),
+    (lambda: TrainConfig(clip_epsilon=1.0), ConfigError, "clip_epsilon must be in (0, 1)"),
+    (lambda: EnvConfig(decoy_probability=7.0), ConfigError,
+     "decoy_probability must be in [0, 1]"),
+    (lambda: EnvConfig(delays={"BLOCK_BUILD": -1}), ConfigError,
+     "delays BLOCK_BUILD must be >= 0 and <= 1000000"),
+    (lambda: ExperimentOptions(benign_fraction=1.0), ConfigError,
+     "benign_fraction must be in [0, 1)"),
+    (lambda: ExperimentOptions(episodes=0), ConfigError, "episodes must be >= 1"),
+    (lambda: RewardParams(beta=-1), ConfigError,
+     "reward parameter beta must be finite and >= 0"),
+    (lambda: AttackScenario("s1", VulnerabilityClass.INJECTION,
+                            PipelineStage.SOURCE_MANAGEMENT, (), True, False, 0.5),
+     ConfigError, "scenario s1: payload must be non-empty"),
+    (lambda: Envelope(kind="bogus"), FrameError, "unknown kind 'bogus'"),
+], ids=["train-batch-size", "train-clip-epsilon", "env-decoy-probability", "env-delays",
+        "options-benign-fraction", "options-episodes", "reward-beta", "scenario-payload",
+        "envelope-kind"])
+def test_values_built_in_code_are_checked(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert message in str(exc.value)
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["protocol", "replay", "--frames"]])

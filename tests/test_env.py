@@ -74,9 +74,9 @@ class TestReward:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
-            RewardParams(alpha=-1.0).validate()
+            RewardParams(alpha=-1.0)
         with pytest.raises(ConfigError):
-            RewardParams(delta=float("nan")).validate()
+            RewardParams(delta=float("nan"))
 
 
 class TestScenarios:
@@ -99,11 +99,11 @@ class TestScenarios:
     def test_undetectable_scenario_rejected(self):
         with pytest.raises(ConfigError, match="undetectable"):
             make_scenario(syntactic_detectable=False,
-                          semantic_detectable=False).validate()
+                          semantic_detectable=False)
 
     def test_severity_bounds(self):
         with pytest.raises(ConfigError):
-            make_scenario(severity=1.5).validate()
+            make_scenario(severity=1.5)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         doc = scenario_to_dict(make_scenario())

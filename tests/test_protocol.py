@@ -111,15 +111,15 @@ class TestFraming:
 
     def test_response_needs_exactly_one_of_result_error(self):
         with pytest.raises(FrameError):
-            Envelope(id=1, kind="response").validate()
+            Envelope(id=1, kind="response")
         with pytest.raises(FrameError):
-            Envelope(id=1, kind="response", result={}, error={}).validate()
+            Envelope(id=1, kind="response", result={}, error={})
 
     def test_request_id_must_be_positive_int(self):
         with pytest.raises(FrameError):
-            Envelope(id=0, kind="request", method="m").validate()
+            Envelope(id=0, kind="request", method="m")
         with pytest.raises(FrameError):
-            Envelope(id=None, kind="request", method="m").validate()
+            Envelope(id=None, kind="request", method="m")
 
     @pytest.mark.parametrize("frame, message", [
         (b'{"version":"1.0","id":1,"kind":"request","method":"m","params":[1]}',
