@@ -33,6 +33,9 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_CONTRACT = 3
 
+# The keys of a config file's evaluate section: ExperimentOptions fields.
+_EVALUATE_FIELDS = {"episodes": int, "benign_fraction": float, "ledger_enabled": bool}
+
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
@@ -142,14 +145,15 @@ def simulate(scenarios_path, index, policy_path, config_path, seed, out_path):
 
 @main.command()
 @click.option("--suite", "suite_path", type=click.Path(exists=True), default=None)
-@click.option("--algorithm", type=click.Choice(["DQN", "PPO"]), default="DQN",
+@click.option("--algorithm", type=click.Choice(["DQN", "PPO"]),
+              default=learning.TrainConfig.algorithm, show_default=True)
+@click.option("--episodes", type=int, default=learning.TrainConfig.episodes, show_default=True)
+@click.option("--learning-rate", type=float, default=learning.TrainConfig.learning_rate,
               show_default=True)
-@click.option("--episodes", type=int, default=3000, show_default=True)
-@click.option("--learning-rate", type=float, default=0.3, show_default=True)
 @click.option("--no-correlation", is_flag=True,
               help="Train without cross-stage correlation (detector-only arm).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=learning.TrainConfig.seed, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @handles_errors
 def train(suite_path, algorithm, episodes, learning_rate, no_correlation,
@@ -157,12 +161,10 @@ def train(suite_path, algorithm, episodes, learning_rate, no_correlation,
     """Train a mitigation policy against the simulated pipeline."""
     doc = _load_config(config_path)
     suite = _load_suite(suite_path)
-    train_doc = dict(doc.get("train", {}))
-    train_doc.setdefault("algorithm", algorithm)
-    train_doc.setdefault("episodes", episodes)
-    train_doc.setdefault("learning_rate", learning_rate)
-    train_doc.setdefault("seed", seed)
-    config = learning.TrainConfig.from_dict(train_doc)
+    # A key in the config file wins over the flag named beside it.
+    config = learning.TrainConfig.from_dict({"algorithm": algorithm, "episodes": episodes,
+                                             "learning_rate": learning_rate, "seed": seed,
+                                             **doc.get("train", {})})
     policy = evaluation.train_mitigation_policy(
         suite, config, env_config=env_config_from_dict(doc.get("env", {})),
         correlation=not no_correlation,
@@ -192,8 +194,7 @@ def evaluate(arm, suite_path, policy_path, episodes, disable_csv, config_path,
     doc = _load_config(config_path)
     suite = _load_suite(suite_path)
     section = doc.get("evaluate", {})
-    check_fields(section, {"episodes": int, "benign_fraction": float, "ledger_enabled": bool,
-                           "playbook_latency": float}, "evaluate config")
+    check_fields(section, _EVALUATE_FIELDS, "evaluate config")
     if episodes is not None:
         section = {**section, "episodes": episodes}
     options = evaluation.ExperimentOptions(
@@ -253,7 +254,8 @@ def ledger():
 
 @ledger.command("verify")
 @click.option("--chain", "chain_path", type=click.Path(exists=True), required=True)
-@click.option("--validators", "n_validators", type=int, default=4, show_default=True)
+@click.option("--validators", "n_validators", type=int,
+              default=ledger_mod.DEFAULT_VALIDATORS, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed the validator set was generated from.")
 @handles_errors

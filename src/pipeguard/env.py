@@ -302,19 +302,19 @@ def unit_draw(*parts) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-# Default per-action acceptance probabilities; everything else is 1.0.
+# Probability that a developer accepts each action, by action name.
 DEFAULT_ACCEPTANCE = {
-    MitigationAction.OPEN_GUARD_PULL_REQUEST: 0.8,
-    MitigationAction.APPLY_CONFIG_PATCH: 0.7,
-    MitigationAction.REQUEST_REVIEW: 0.9,
+    "ALLOW_CONTINUE": 1.0, "BLOCK_BUILD": 1.0, "QUARANTINE_DEPENDENCY": 1.0,
+    "REQUEST_REVIEW": 0.9, "REVOKE_CREDENTIALS": 1.0, "PAUSE_BUILD": 1.0,
+    "APPLY_CONFIG_PATCH": 0.7, "OPEN_GUARD_PULL_REQUEST": 0.8,
 }
 
-# Added build delay per action, simulated minutes.
+# Added build delay per action, simulated minutes, by action name.
 DEFAULT_DELAYS = {
-    MitigationAction.ALLOW_CONTINUE: 0.0,
-    MitigationAction.REQUEST_REVIEW: 5.0,
+    "ALLOW_CONTINUE": 0.0, "BLOCK_BUILD": 2.0, "QUARANTINE_DEPENDENCY": 2.0,
+    "REQUEST_REVIEW": 5.0, "REVOKE_CREDENTIALS": 2.0, "PAUSE_BUILD": 2.0,
+    "APPLY_CONFIG_PATCH": 2.0, "OPEN_GUARD_PULL_REQUEST": 2.0,
 }
-DEFAULT_OTHER_DELAY = 2.0
 
 # Weak behavioral traces an ongoing attack leaves in the next stage,
 # keyed by class then by the echo signal's kind.
@@ -365,6 +365,11 @@ class EnvConfig:
     acceptance: dict = field(default_factory=dict)      # action name -> probability
 
     def __post_init__(self):
+        # Each per-action table is completed from its defaults, so it names every action.
+        for name, defaults in (("delays", DEFAULT_DELAYS), ("acceptance", DEFAULT_ACCEPTANCE)):
+            given = getattr(self, name)
+            check_fields(given, _PER_ACTION_FIELDS, name)
+            object.__setattr__(self, name, defaults | {k: float(v) for k, v in given.items()})
         if self.max_steps_per_stage < 1:
             raise ConfigError("max_steps_per_stage must be >= 1")
         if not 0 <= self.step_minutes <= MAX_MINUTES:
@@ -379,16 +384,10 @@ class EnvConfig:
                 raise ConfigError(f"acceptance {name} must be in [0, 1]")
 
     def action_delay(self, action: MitigationAction) -> float:
-        if action.name in self.delays:
-            return float(self.delays[action.name])
-        if action in DEFAULT_DELAYS:
-            return DEFAULT_DELAYS[action]
-        return DEFAULT_OTHER_DELAY
+        return self.delays[action.name]
 
     def acceptance_probability(self, action: MitigationAction) -> float:
-        if action.name in self.acceptance:
-            return float(self.acceptance[action.name])
-        return DEFAULT_ACCEPTANCE.get(action, 1.0)
+        return self.acceptance[action.name]
 
 
 _ENV_CONFIG_FIELDS = {
@@ -402,8 +401,6 @@ _PER_ACTION_FIELDS = dict.fromkeys((a.name for a in MitigationAction), float)
 def env_config_from_dict(obj: dict) -> EnvConfig:
     check_fields(obj, _ENV_CONFIG_FIELDS, "environment config")
     check_fields(obj.get("reward", {}), _REWARD_FIELDS, "reward")
-    for name in ("delays", "acceptance"):
-        check_fields(obj.get(name, {}), _PER_ACTION_FIELDS, name)
     return EnvConfig(**{**obj, "reward": RewardParams(**obj.get("reward", {}))})
 
 
@@ -419,10 +416,9 @@ def developer_response(
     action: MitigationAction,
     run_seed: int,
     step: int,
-    config: EnvConfig | None = None,
+    config: EnvConfig,
 ) -> bool:
     """Seeded pseudo-random developer acceptance draw for an action."""
-    config = config or EnvConfig()
     p = config.acceptance_probability(action)
     if p >= 1.0:
         return True

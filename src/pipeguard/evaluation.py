@@ -60,6 +60,8 @@ DEFAULT_ARM_LATENCY = {
     BaselineKind.RL_ONLY: 6.0,
     BaselineKind.PROPOSED: 0.0,
 }
+# Proposed's actuation latency when RL is disabled and a static playbook acts.
+PLAYBOOK_LATENCY = 10.0
 # The arms whose actions a human reviews before they take effect.
 HUMAN_GATED = frozenset({BaselineKind.RULE_BASED, BaselineKind.PROVENANCE_ONLY})
 
@@ -102,16 +104,12 @@ class ExperimentOptions:
     # Ablation hooks: disable fused cross-stage reasoning / the learned policy.
     reasoner_correlation: bool = True
     use_policy: bool = True
-    # Proposed's arm latency when RL is disabled and a static playbook acts.
-    playbook_latency: float = 10.0
 
     def __post_init__(self):
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
         if not (0.0 <= self.benign_fraction < 1.0):
             raise ConfigError("benign_fraction must be in [0, 1)")
-        if self.playbook_latency < 0:
-            raise ConfigError("playbook_latency must be >= 0")
 
 
 @dataclass
@@ -484,7 +482,7 @@ class LedgerArtifacts:
 
 
 def _init_ledger(seed: int) -> LedgerArtifacts:
-    validators, keys = ledger_mod.generate_validators(4, seed)
+    validators, keys = ledger_mod.generate_validators(ledger_mod.DEFAULT_VALIDATORS, seed)
     acl = ledger_mod.default_acl()
     genesis = ledger_mod.make_genesis(validators, keys, acl)
     return LedgerArtifacts([genesis], validators, keys, acl)
@@ -549,7 +547,7 @@ def run_experiment(
         global_clock += record.duration_minutes
         records.append(record)
     playbook = arm is BaselineKind.PROPOSED and not options.use_policy
-    latency = options.playbook_latency if playbook else DEFAULT_ARM_LATENCY[arm]
+    latency = PLAYBOOK_LATENCY if playbook else DEFAULT_ARM_LATENCY[arm]
     report = compute_metrics(records, arm, seed, digest, latency)
     return report, records, artifacts
 
@@ -570,7 +568,7 @@ class DefenseEpisodeEnv:
                  correlation: bool = True):
         self.suite = suite
         self.seed = seed
-        self.pipeline = PipelineEnv(env_config or EnvConfig())
+        self.pipeline = PipelineEnv(env_config)
         self.detector = Detector(correlation)
         self._episode = 0
 

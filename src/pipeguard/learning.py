@@ -14,13 +14,13 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .env import ConfigError, EnvState, check_fields, load_json
+from .env import ConfigError, EnvState, PipelineStage, check_fields, load_json
 from .agents import Assessment, VulnerabilityClass
 
 ENCODING_VERSION = 1
 
-N_STAGES = 5
-N_CLASS_OPTIONS = 5  # benign + four classes
+N_STAGES = len(PipelineStage)
+N_CLASS_OPTIONS = len(VulnerabilityClass) + 1  # benign + each class
 N_SEVERITY_BUCKETS = 3
 N_PRIOR_ALERTS = 4
 N_STATES = N_STAGES * N_CLASS_OPTIONS * N_SEVERITY_BUCKETS * N_PRIOR_ALERTS
@@ -204,9 +204,9 @@ def load_policy(path: str) -> Policy:
 @dataclass
 class TrainConfig:
     algorithm: str = "DQN"            # "DQN" | "PPO"
-    learning_rate: Optional[float] = None
+    learning_rate: float = 0.3
     gamma: float = 0.99
-    episodes: int = 10_000
+    episodes: int = 3000
     entropy_coeff_start: float = 0.01
     entropy_coeff_end: float = 0.0
     clip_epsilon: float = 0.2
@@ -224,8 +224,6 @@ class TrainConfig:
             raise ConfigError("gamma must be in [0, 1)")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
-        if self.learning_rate is None:
-            self.learning_rate = 3e-4 if self.algorithm == "PPO" else 1e-4
         if self.seed < 0 or self.batch_size < 1 or self.max_episode_steps < 1:
             raise ConfigError("seed must be >= 0, batch_size and max_episode_steps >= 1")
         if self.learning_rate <= 0:
@@ -241,8 +239,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        # Each field takes its default's kind; learning_rate defaults to None.
-        spec = {f.name: type(f.default) for f in fields(cls)} | {"learning_rate": float}
+        # Each field takes its default's kind.
+        spec = {f.name: type(f.default) for f in fields(cls)}
         check_fields(obj, spec, "training config")
         return cls(**obj)
 

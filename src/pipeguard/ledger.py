@@ -27,6 +27,8 @@ ZERO_HASH = bytes(32)
 LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
 
+DEFAULT_VALIDATORS = 4  # an evaluation's validator set, and `ledger verify`'s default
+
 
 class LedgerError(Exception):
     pass

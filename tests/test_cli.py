@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from pipeguard import learning, ledger
-from pipeguard.cli import main
+from pipeguard.cli import _EVALUATE_FIELDS, main
 from pipeguard.env import (
     AgentRole,
     AttackScenario,
@@ -20,6 +21,7 @@ from pipeguard.env import (
     PipelineStage,
     RewardParams,
     VulnerabilityClass,
+    _ENV_CONFIG_FIELDS,
 )
 from pipeguard.evaluation import ExperimentOptions
 from pipeguard.learning import TrainConfig
@@ -447,7 +449,7 @@ MALFORMED = [
      "missing policy fields: ['params']"),
     ("evaluate-playbook-latency", ["evaluate", "--arm", "Proposed", "--config",
                                    {"evaluate": {"playbook_latency": -50}}, "--out", OUT],
-     "playbook_latency must be >= 0"),
+     "unknown evaluate config fields: ['playbook_latency']"),
     ("train-learning-rate", train_config(learning_rate=0), "learning_rate must be > 0"),
     ("train-clip-epsilon", train_config(clip_epsilon=1), "clip_epsilon must be in (0, 1)"),
     ("train-epsilon-start", train_config(epsilon_start=1.5),
@@ -531,6 +533,10 @@ def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, messag
      "decoy_probability must be in [0, 1]"),
     (lambda: EnvConfig(delays={"BLOCK_BUILD": -1}), ConfigError,
      "delays BLOCK_BUILD must be >= 0 and <= 1000000"),
+    (lambda: EnvConfig(delays={"BLOK_BUILD": 9.0}), ConfigError,
+     "unknown delays fields: ['BLOK_BUILD']"),
+    (lambda: EnvConfig(acceptance={"request_review": 0.0}), ConfigError,
+     "unknown acceptance fields: ['request_review']"),
     (lambda: ExperimentOptions(benign_fraction=1.0), ConfigError,
      "benign_fraction must be in [0, 1)"),
     (lambda: ExperimentOptions(episodes=0), ConfigError, "episodes must be >= 1"),
@@ -541,12 +547,23 @@ def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, messag
      ConfigError, "scenario s1: payload must be non-empty"),
     (lambda: Envelope(kind="bogus"), FrameError, "unknown kind 'bogus'"),
 ], ids=["train-batch-size", "train-clip-epsilon", "env-decoy-probability", "env-delays",
-        "options-benign-fraction", "options-episodes", "reward-beta", "scenario-payload",
-        "envelope-kind"])
+        "env-delays-name", "env-acceptance-name", "options-benign-fraction", "options-episodes",
+        "reward-beta", "scenario-payload", "envelope-kind"])
 def test_values_built_in_code_are_checked(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert message in str(exc.value)
+
+
+def test_readme_configuration_table_names_every_config_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = [key for line in section.splitlines() if line.startswith("| `")
+                  for key in re.findall(r"`(\w+\.\w+)`", line.split("|")[1])]
+    accepted = ([f"env.{key}" for key in _ENV_CONFIG_FIELDS]
+                + [f"train.{key}" for key in TrainConfig.__dataclass_fields__]
+                + [f"evaluate.{key}" for key in _EVALUATE_FIELDS])
+    assert sorted(documented) == sorted(accepted)
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["protocol", "replay", "--frames"]])

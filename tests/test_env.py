@@ -10,6 +10,8 @@ from pipeguard.env import (
     AttackScenario,
     ConfigError,
     ContractViolation,
+    DEFAULT_ACCEPTANCE,
+    DEFAULT_DELAYS,
     EnvConfig,
     MitigationAction,
     OutcomeFlags,
@@ -403,14 +405,14 @@ class TestPauseResumeRollback:
 class TestDeveloperModel:
     def test_acceptance_rates_close_to_configured(self):
         accepted = sum(
-            developer_response(MitigationAction.OPEN_GUARD_PULL_REQUEST, seed, 0)
+            developer_response(MitigationAction.OPEN_GUARD_PULL_REQUEST, seed, 0, EnvConfig())
             for seed in range(2000)
         )
         assert 0.75 < accepted / 2000 < 0.85
 
     def test_unconditional_actions_always_accepted(self):
         assert all(
-            developer_response(MitigationAction.BLOCK_BUILD, seed, 0)
+            developer_response(MitigationAction.BLOCK_BUILD, seed, 0, EnvConfig())
             for seed in range(50)
         )
 
@@ -440,3 +442,12 @@ class TestConfig:
         cfg = EnvConfig(delays={"BLOCK_BUILD": 9.0})
         assert cfg.action_delay(MitigationAction.BLOCK_BUILD) == 9.0
         assert cfg.action_delay(MitigationAction.ALLOW_CONTINUE) == 0.0
+
+    def test_per_action_tables_name_every_action(self):
+        names = [a.name for a in MitigationAction]
+        assert list(DEFAULT_DELAYS) == list(DEFAULT_ACCEPTANCE) == names
+        cfg = EnvConfig(delays={"PAUSE_BUILD": 1}, acceptance={"BLOCK_BUILD": 0})
+        assert cfg.delays == {**DEFAULT_DELAYS, "PAUSE_BUILD": 1.0}
+        assert cfg.acceptance == {**DEFAULT_ACCEPTANCE, "BLOCK_BUILD": 0.0}
+        assert type(cfg.action_delay(MitigationAction.PAUSE_BUILD)) is float
+        assert EnvConfig(delays=dict(DEFAULT_DELAYS)) == EnvConfig()

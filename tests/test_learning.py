@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from mdp_corpus import chain_mdp, corpus, toy_compromise_mdp
 from pipeguard.agents import BENIGN_ASSESSMENT, Assessment
+from pipeguard.cli import main
+from pipeguard.evaluation import train_mitigation_policy
 from pipeguard.env import ConfigError, MitigationAction, PipelineEnv, VulnerabilityClass
 from pipeguard.learning import (
     ENCODING_VERSION,
@@ -209,9 +212,20 @@ class TestLoadPolicy:
 
 
 class TestTrainConfig:
-    def test_default_learning_rates(self):
-        assert TrainConfig(algorithm="PPO").learning_rate == 3e-4
-        assert TrainConfig(algorithm="DQN").learning_rate == 1e-4
+    @pytest.mark.parametrize("algorithm", ["DQN", "PPO"])
+    def test_train_command_defaults_to_train_config(self, suite, tmp_path, algorithm):
+        out = tmp_path / "policy.json"
+        result = CliRunner().invoke(main, ["train", "--algorithm", algorithm, "--episodes",
+                                           "40", "--seed", "5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        expected = train_mitigation_policy(
+            suite, TrainConfig(algorithm=algorithm, episodes=40, seed=5))
+        assert load_policy(str(out)).params.tolist() == expected.params.tolist()
+
+    def test_train_flags_default_to_train_config(self):
+        flags = {p.name: p.default for p in main.commands["train"].params}
+        for name in ("algorithm", "episodes", "learning_rate", "seed"):
+            assert flags[name] == getattr(TrainConfig(), name)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
