@@ -567,19 +567,13 @@ class PipelineEnv:
 
     def _enter_stage(self, state: EnvState, stage: PipelineStage) -> EnvState:
         seed = state.rng_seed
+        injected = tuple(s for s in state.pending_attacks if s.stage is stage)
         new_signals: list[ObservationSignal] = [
-            ObservationSignal(stage, STAGE_KIND[stage], f"stage_ok {stage_name(stage)}")
+            ObservationSignal(stage, STAGE_KIND[stage], f"stage_ok {stage_name(stage)}"),
+            *(ObservationSignal(stage, attack_signal_kind(s.vuln_class, stage),
+                                " ".join(s.payload), origin_attack=s.id)
+              for s in injected),
         ]
-        injected: list[AttackScenario] = []
-        clocks = list(state.injection_clock)
-        for s in state.pending_attacks:
-            if s.stage is stage:
-                injected.append(s)
-                clocks.append((s.id, state.clock_minutes))
-                new_signals.append(ObservationSignal(
-                    stage, attack_signal_kind(s.vuln_class, stage),
-                    " ".join(s.payload), origin_attack=s.id,
-                ))
         # Persisting semantic attacks leave one weak trace in the next stage.
         for a in state.active_attacks:
             if a.semantic_detectable and stage == a.stage + 1:
@@ -594,13 +588,13 @@ class PipelineEnv:
             idx = int(unit_draw("decoy-pick", seed, stage.value) * len(DEFAULT_DECOYS))
             kind, token = DEFAULT_DECOYS[min(idx, len(DEFAULT_DECOYS) - 1)]
             new_signals.append(ObservationSignal(stage, kind, token))
-        injected_ids = {s.id for s in injected}
         return EnvState(**{
             **state.__dict__,
             "stage": stage,
-            "active_attacks": state.active_attacks + tuple(injected),
+            "active_attacks": state.active_attacks + injected,
             "pending_attacks": tuple(s for s in state.pending_attacks
-                                     if s.id not in injected_ids),
+                                     if s.stage is not stage),
             "signals": state.signals + tuple(new_signals),
-            "injection_clock": tuple(clocks),
+            "injection_clock": state.injection_clock + tuple(
+                (s.id, state.clock_minutes) for s in injected),
         })

@@ -101,9 +101,6 @@ class ExperimentOptions:
     benign_fraction: float = 0.25
     env_config: EnvConfig = field(default_factory=EnvConfig)
     ledger_enabled: bool = True
-    # Ablation hooks: disable fused cross-stage reasoning / the learned policy.
-    reasoner_correlation: bool = True
-    use_policy: bool = True
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -367,20 +364,14 @@ class PlaybookStack:
         return _fixed_response(trace.findings)
 
 
-def _build_stack(arm: BaselineKind, policy: Optional[learning.Policy],
-                 options: ExperimentOptions):
+def _build_stack(arm: BaselineKind, policy: Optional[learning.Policy]):
     if arm is BaselineKind.RULE_BASED:
         return RuleBasedStack()
     if arm is BaselineKind.PROVENANCE_ONLY:
         return ProvenanceStack()
-    if policy is None and options.use_policy:
+    if policy is None:
         raise ConfigError(f"arm {arm.value} requires a trained policy")
-    if arm is BaselineKind.RL_ONLY:
-        return PolicyStack(policy, correlation=False)
-    # Proposed, possibly ablated.
-    if not options.use_policy:
-        return PlaybookStack(correlation=options.reasoner_correlation)
-    return PolicyStack(policy, correlation=options.reasoner_correlation)
+    return PolicyStack(policy, correlation=arm is BaselineKind.PROPOSED)
 
 
 # -- episode loop -----------------------------------------------------------------
@@ -445,9 +436,7 @@ def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
                 injected_clock=dict(pre_state.injection_clock)[attack.id],
                 mitigated_clock=pre_state.clock_minutes,
                 action=action.name,
-                autonomous=(arm not in HUMAN_GATED
-                            and action is not MitigationAction.REQUEST_REVIEW
-                            and not requested_review),
+                autonomous=arm not in HUMAN_GATED and not requested_review,
                 rollback_ok=rollback_succeeds(pre_state, action),
                 developer_accepted=transition.outcome.developer_accepted,
             ))
@@ -524,8 +513,14 @@ def run_experiment(
     """Run every planned episode through the arm's decision stack."""
     if not suite:
         raise ConfigError("scenario suite must be non-empty")
-    options = options or ExperimentOptions()
-    stack = _build_stack(arm, policy, options)
+    return _run(arm, _build_stack(arm, policy), DEFAULT_ARM_LATENCY[arm],
+                suite, seed, options or ExperimentOptions())
+
+
+def _run(arm: BaselineKind, stack, latency: float, suite: list[AttackScenario],
+         seed: int, options: ExperimentOptions):
+    """Run every planned episode through `stack`, reporting as `arm` with
+    `latency` minutes of actuation latency."""
     pipeline = PipelineEnv(options.env_config)
     digest = suite_hash(suite)
     records: list[EpisodeRecord] = []
@@ -546,8 +541,6 @@ def run_experiment(
             )
         global_clock += record.duration_minutes
         records.append(record)
-    playbook = arm is BaselineKind.PROPOSED and not options.use_policy
-    latency = PLAYBOOK_LATENCY if playbook else DEFAULT_ARM_LATENCY[arm]
     report = compute_metrics(records, arm, seed, digest, latency)
     return report, records, artifacts
 
@@ -622,16 +615,19 @@ def ablation(
     if unknown:
         raise ConfigError(f"unknown ablation targets: {sorted(unknown)}")
     base_options = options or ExperimentOptions()
-    baseline, base_records, _ = run_experiment(
+    baseline, _, _ = run_experiment(
         BaselineKind.PROPOSED, suite, seed, policy, base_options)
+    correlation = "reasoner" not in disable
+    if "rl" in disable:
+        stack, latency = PlaybookStack(correlation), PLAYBOOK_LATENCY
+    else:
+        stack = PolicyStack(policy, correlation)
+        latency = DEFAULT_ARM_LATENCY[BaselineKind.PROPOSED]
     ablated_options = replace(
         base_options,
-        ledger_enabled=base_options.ledger_enabled and "ledger" not in disable,
-        reasoner_correlation="reasoner" not in disable,
-        use_policy="rl" not in disable,
-    )
-    ablated, abl_records, _ = run_experiment(
-        BaselineKind.PROPOSED, suite, seed, policy, ablated_options)
+        ledger_enabled=base_options.ledger_enabled and "ledger" not in disable)
+    ablated, _, _ = _run(BaselineKind.PROPOSED, stack, latency, suite, seed,
+                         ablated_options)
     deltas = {}
     for vc in VulnerabilityClass:
         b = baseline.per_class[vc.value]

@@ -328,15 +328,17 @@ def _valid_votes(validators: ValidatorSet, votes: Iterable[tuple[str, bytes]],
     return tuple(valid.items())
 
 
-def _honest_verdict(block: Block, expected_prev: bytes, acl: "AclPolicy") -> str:
+def _block_fault(block: Block, expected_prev: bytes, acl: "AclPolicy") -> Optional[str]:
+    """The ChainInvalid reason a block's content earns, or None if it is
+    valid: its link, its Merkle root and its entries' permissions."""
     if block.prev_hash != expected_prev:
-        return "bad_prev_hash"
+        return "hash_link"
     if block.merkle_root != entries_root(block.entries):
-        return "bad_merkle_root"
+        return "merkle_mismatch"
     for e in block.entries:
         if not acl.permits(e.role, e.action):
-            return "acl_violation"
-    return "ok"
+            return "acl"
+    return None
 
 
 def bft_commit(
@@ -356,9 +358,9 @@ def bft_commit(
     fails verification against this block and is discarded.
     """
     block_digest = block.hash()
+    fault = _block_fault(block, expected_prev_hash, acl)
     votes: list[tuple[str, bytes]] = []
     verdicts: dict[str, str] = {}
-    honest_verdict: Optional[str] = None
     for vid, _pub in validators.validators:
         behavior = behaviors.get(vid, HONEST)
         if behavior in (SILENT, REJECT):
@@ -370,10 +372,8 @@ def bft_commit(
             votes.append((vid, key.sign(conflicting)))
             verdicts[vid] = "equivocate"
             continue
-        if honest_verdict is None:
-            honest_verdict = _honest_verdict(block, expected_prev_hash, acl)
-        verdicts[vid] = honest_verdict
-        if honest_verdict == "ok":
+        verdicts[vid] = fault or "ok"
+        if fault is None:
             votes.append((vid, key.sign(block_digest)))
 
     valid = _valid_votes(validators, votes, block_digest)
@@ -490,19 +490,17 @@ def verify_chain(chain: list[Block], validators: ValidatorSet,
         return ChainInvalid(0, "hash_link")  # no genesis to link from
     expected_prev = ZERO_HASH
     for i, block in enumerate(chain):
-        if block.prev_hash != expected_prev or block.index != i:
+        if block.index != i:
             return ChainInvalid(i, "hash_link")
-        if block.merkle_root != entries_root(block.entries):
-            return ChainInvalid(i, "merkle_mismatch")
+        fault = _block_fault(block, expected_prev, acl)
+        if fault is not None:
+            return ChainInvalid(i, fault)
         expected_prev = block.hash()
         valid = _valid_votes(validators, block.signatures, expected_prev)
         if len(valid) < len(block.signatures):
             return ChainInvalid(i, "signature")
         if len(valid) < validators.quorum:
             return ChainInvalid(i, "quorum")
-        for e in block.entries:
-            if not acl.permits(e.role, e.action):
-                return ChainInvalid(i, "acl")
     return ChainValid()
 
 

@@ -112,15 +112,7 @@ def decode_message(frame: bytes) -> Envelope:
         raise FrameError("missing field: version")
     if "kind" not in doc:
         raise FrameError("missing field: kind")
-    return Envelope(
-        version=doc["version"],
-        id=doc.get("id"),
-        kind=doc["kind"],
-        method=doc.get("method"),
-        params=doc.get("params"),
-        result=doc.get("result"),
-        error=doc.get("error"),
-    )
+    return Envelope(**doc)
 
 
 Handler = Callable[[dict], dict]

@@ -170,8 +170,9 @@ class TestEvaluate:
         assert doc["confusion_identical"] is True
 
     # Every arm that detects: the golden Proposed and RuleBased outputs, the
-    # policy stack without cross-stage correlation, the playbook stack, and
-    # the reasoner with correlation switched off.
+    # policy stack without cross-stage correlation, the playbook stack, the
+    # reasoner with correlation switched off, the playbook without it, and
+    # the full stack with its ledger off.
     @pytest.mark.parametrize("args, digests", [
         (["--arm", "Proposed"], {
             "report.json": "e1f8dd48297a6dc2eb439aae352c6c56e3ae74983a7c9dc332214304d7b33fe4",
@@ -187,7 +188,12 @@ class TestEvaluate:
             "ablation.json": "8b24fb3ae2dae59dc58a792c6ac26f989146da2a3e6f03064ce4745f59e2040c"}),
         (["--arm", "Proposed", "--disable", "reasoner"], {
             "ablation.json": "3bdb7c500f8cf489ffb7ae3efdc6efe5da60a1d9c874c7c99559acc122368a60"}),
-    ], ids=["proposed", "rule-based", "rl-only", "no-rl", "no-reasoner"])
+        (["--arm", "Proposed", "--disable", "reasoner,rl"], {
+            "ablation.json": "3d0f425580a17a5185958011da6f5e5d5ce3e7d6216d780a2c07194b8de04196"}),
+        (["--arm", "Proposed", "--disable", "ledger"], {
+            "ablation.json": "5967a03fa965dfc5144af68922dd895726773ff226aa62a14373ba298cbc5ca7"}),
+    ], ids=["proposed", "rule-based", "rl-only", "no-rl", "no-reasoner",
+            "no-reasoner-no-rl", "no-ledger"])
     def test_output_is_pinned(self, runner, tmp_path, policy_file, args, digests):
         out = tmp_path / "out"
         policy = [] if args[1] == "RuleBased" else ["--policy", policy_file]

@@ -186,23 +186,23 @@ class TestConsensus:
                 assert signers <= honest
                 assert len(signers) >= f + 1
 
-    def test_bad_prev_hash_rejected_by_honest_validators(self, setup4):
+    def test_hash_link_rejected_by_honest_validators(self, setup4):
         validators, keys, acl = setup4
         block = Block(1, bytes(32), entries_root((entry(),)), (entry(),),
                       validators.ids()[0], (), 1)
         result = bft_commit(validators, keys, block, {}, b"\x01" * 32, acl)
         assert isinstance(result, Aborted)
         assert result.valid_votes == 0
-        assert set(result.verdicts.values()) == {"bad_prev_hash"}
+        assert set(result.verdicts.values()) == {"hash_link"}
 
-    def test_bad_merkle_root_rejected(self, setup4):
+    def test_merkle_mismatch_rejected(self, setup4):
         validators, keys, acl = setup4
         genesis = make_genesis(validators, keys, acl)
         block = Block(1, genesis.hash(), bytes(32), (entry(),),
                       validators.ids()[0], (), 1)
         result = bft_commit(validators, keys, block, {}, genesis.hash(), acl)
         assert isinstance(result, Aborted)
-        assert "bad_merkle_root" in result.verdicts.values()
+        assert "merkle_mismatch" in result.verdicts.values()
 
     def test_equivocating_signature_never_counts(self, setup4):
         validators, keys, acl = setup4
@@ -214,6 +214,26 @@ class TestConsensus:
                             genesis.hash(), acl)
         assert isinstance(result, Aborted)
         assert result.valid_votes == 0
+
+    # The honest validators and verify_chain judge a block by one check, so
+    # they name each fault alike.
+    @pytest.mark.parametrize("fault", ["hash_link", "merkle_mismatch", "acl"])
+    def test_commit_verdict_is_verify_reason(self, setup4, fault):
+        validators, keys, acl = setup4
+        genesis = make_genesis(validators, keys, acl)
+        entries = ((entry(role=AgentRole.CODE_ANALYSIS),) if fault == "acl"
+                   else (entry(),))
+        block = Block(1,
+                      bytes(32) if fault == "hash_link" else genesis.hash(),
+                      bytes(32) if fault == "merkle_mismatch" else entries_root(entries),
+                      entries, validators.ids()[0], (), 1)
+        result = bft_commit(validators, keys, block, {}, genesis.hash(), acl)
+        assert isinstance(result, Aborted)
+        # Signed by every validator, the block can fail verify_chain only by its fault.
+        signed = with_signatures(block, tuple((vid, keys[vid].sign(block.hash()))
+                                              for vid in validators.ids()))
+        verdict = verify_chain([genesis, signed], validators, acl)
+        assert set(result.verdicts.values()) == {verdict.reason} == {fault}
 
 
 class TestChain:
@@ -254,7 +274,7 @@ class TestChain:
         with pytest.raises(LedgerError, match="consensus aborted: 0 valid votes"):
             make_genesis(validators, foreign_keys, acl)
 
-    def test_acl_violation_raises_and_names_role(self, setup4):
+    def test_acl_breach_raises_and_names_role(self, setup4):
         validators, keys, acl = setup4
         chain = [make_genesis(validators, keys, acl)]
         bad = entry(role=AgentRole.CODE_ANALYSIS,
