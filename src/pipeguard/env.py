@@ -383,12 +383,6 @@ class EnvConfig:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"acceptance {name} must be in [0, 1]")
 
-    def action_delay(self, action: MitigationAction) -> float:
-        return self.delays[action.name]
-
-    def acceptance_probability(self, action: MitigationAction) -> float:
-        return self.acceptance[action.name]
-
 
 _ENV_CONFIG_FIELDS = {
     "reward": dict, "max_steps_per_stage": int, "step_minutes": float,
@@ -419,7 +413,7 @@ def developer_response(
     config: EnvConfig,
 ) -> bool:
     """Seeded pseudo-random developer acceptance draw for an action."""
-    p = config.acceptance_probability(action)
+    p = config.acceptance[action.name]
     if p >= 1.0:
         return True
     return unit_draw("dev", run_seed, step, action.name) < p
@@ -499,7 +493,7 @@ class PipelineEnv:
             raise ContractViolation("step() called on a finished run")
 
         accepted = developer_response(action, state.rng_seed, state.step, self.config)
-        delay_inc = self.config.action_delay(action)
+        delay_inc = self.config.delays[action.name]
         mitigated = tuple(
             a for a in state.active_attacks
             if mitigates(action, a, state.stage, accepted)
@@ -550,7 +544,7 @@ class PipelineEnv:
             raise ContractViolation("cannot pause a finished run")
         if state.paused:
             raise ContractViolation("run is already paused")
-        cost = self.config.action_delay(MitigationAction.PAUSE_BUILD)
+        cost = self.config.delays[MitigationAction.PAUSE_BUILD.name]
         return replace(
             state,
             paused=True,

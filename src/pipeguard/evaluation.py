@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field, asdict, replace
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -143,27 +144,6 @@ class EpisodeRecord:
 
 
 @dataclass
-class ClassMetrics:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-    @property
-    def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if (self.tp + self.fp) else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if (p + r) else 0.0
-
-
-@dataclass
 class MetricsReport:
     arm: str
     episodes: int
@@ -200,51 +180,29 @@ _CLASS_METRIC_FIELDS = {"tp": int, "fp": int, "fn": int, "tn": int,
                         "precision": float, "recall": float, "f1": float}
 
 
+def class_scores(tp: int, fp: int, fn: int, tn: int) -> dict:
+    """One class's `per_class` entry; a ratio with an empty denominator is 0.0."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn,
+            "precision": precision, "recall": recall, "f1": f1}
+
+
 def compute_metrics(records: list[EpisodeRecord], arm: BaselineKind,
                     seed: int, suite_digest: str,
                     arm_latency: float) -> MetricsReport:
     """Aggregate labeled episode outcomes into a metrics report."""
-    counts = {vc.value: ClassMetrics() for vc in VulnerabilityClass}
-    latencies: list[float] = []
-    autonomous = 0
-    rollback_ok = 0
-    n_mitigations = 0
-    fp_actions = 0
-    overheads: list[float] = []
-    for rec in records:
-        actual = set(rec.actual_classes)
-        predicted = set(rec.predicted_classes)
-        for vc in VulnerabilityClass:
-            c = counts[vc.value]
-            in_actual, in_pred = vc.value in actual, vc.value in predicted
-            if in_actual and in_pred:
-                c.tp += 1
-            elif in_pred:
-                c.fp += 1
-            elif in_actual:
-                c.fn += 1
-            else:
-                c.tn += 1
-        for m in rec.mitigations:
-            n_mitigations += 1
-            latencies.append(m.mitigated_clock - m.injected_clock + arm_latency)
-            if m.autonomous:
-                autonomous += 1
-            if m.rollback_ok:
-                rollback_ok += 1
-        fp_actions += rec.false_positive_actions
-        if rec.benign and rec.undefended_minutes > 0:
-            overheads.append(
-                (rec.duration_minutes - rec.undefended_minutes)
-                / rec.undefended_minutes * 100.0
-            )
-    per_class = {
-        name: {
-            "tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn,
-            "precision": c.precision, "recall": c.recall, "f1": c.f1,
-        }
-        for name, c in counts.items()
-    }
+    per_class = {}
+    for vc in VulnerabilityClass:
+        pairs = Counter((vc.value in r.actual_classes, vc.value in r.predicted_classes)
+                        for r in records)
+        per_class[vc.value] = class_scores(pairs[True, True], pairs[False, True],
+                                           pairs[True, False], pairs[False, False])
+    mitigations = [m for r in records for m in r.mitigations]
+    latencies = [m.mitigated_clock - m.injected_clock + arm_latency for m in mitigations]
+    overheads = [(r.duration_minutes - r.undefended_minutes) / r.undefended_minutes * 100.0
+                 for r in records if r.benign and r.undefended_minutes > 0]
     return MetricsReport(
         arm=arm.value,
         episodes=len(records),
@@ -253,9 +211,11 @@ def compute_metrics(records: list[EpisodeRecord], arm: BaselineKind,
         per_class=per_class,
         mttm_minutes=float(np.mean(latencies)) if latencies else 0.0,
         overhead_percent=float(np.mean(overheads)) if overheads else 0.0,
-        autonomy_rate=autonomous / n_mitigations if n_mitigations else 1.0,
-        rollback_success_rate=rollback_ok / n_mitigations if n_mitigations else 0.0,
-        false_positive_actions=fp_actions,
+        autonomy_rate=(sum(m.autonomous for m in mitigations) / len(mitigations)
+                       if mitigations else 1.0),
+        rollback_success_rate=(sum(m.rollback_ok for m in mitigations) / len(mitigations)
+                               if mitigations else 0.0),
+        false_positive_actions=sum(r.false_positive_actions for r in records),
     )
 
 
@@ -614,20 +574,20 @@ def ablation(
     unknown = disable - {"reasoner", "rl", "ledger"}
     if unknown:
         raise ConfigError(f"unknown ablation targets: {sorted(unknown)}")
-    base_options = options or ExperimentOptions()
+    options = options or ExperimentOptions()
+    # A chain is committed only where it is the difference under test: the
+    # baseline of a ledger ablation. Any other chain would go unread.
     baseline, _, _ = run_experiment(
-        BaselineKind.PROPOSED, suite, seed, policy, base_options)
+        BaselineKind.PROPOSED, suite, seed, policy,
+        replace(options, ledger_enabled=options.ledger_enabled and "ledger" in disable))
     correlation = "reasoner" not in disable
     if "rl" in disable:
         stack, latency = PlaybookStack(correlation), PLAYBOOK_LATENCY
     else:
         stack = PolicyStack(policy, correlation)
         latency = DEFAULT_ARM_LATENCY[BaselineKind.PROPOSED]
-    ablated_options = replace(
-        base_options,
-        ledger_enabled=base_options.ledger_enabled and "ledger" not in disable)
     ablated, _, _ = _run(BaselineKind.PROPOSED, stack, latency, suite, seed,
-                         ablated_options)
+                         replace(options, ledger_enabled=False))
     deltas = {}
     for vc in VulnerabilityClass:
         b = baseline.per_class[vc.value]

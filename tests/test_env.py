@@ -435,13 +435,13 @@ class TestConfig:
         cfg = env_config_from_dict({"step_minutes": 0, "decoy_probability": 1,
                                     "delays": {"BLOCK_BUILD": 0},
                                     "acceptance": {"REQUEST_REVIEW": 0.0}})
-        assert cfg.action_delay(MitigationAction.BLOCK_BUILD) == 0.0
-        assert cfg.acceptance_probability(MitigationAction.REQUEST_REVIEW) == 0.0
+        assert cfg.delays["BLOCK_BUILD"] == 0.0
+        assert cfg.acceptance["REQUEST_REVIEW"] == 0.0
 
     def test_delay_override(self):
         cfg = EnvConfig(delays={"BLOCK_BUILD": 9.0})
-        assert cfg.action_delay(MitigationAction.BLOCK_BUILD) == 9.0
-        assert cfg.action_delay(MitigationAction.ALLOW_CONTINUE) == 0.0
+        assert cfg.delays["BLOCK_BUILD"] == 9.0
+        assert cfg.delays["ALLOW_CONTINUE"] == 0.0
 
     def test_per_action_tables_name_every_action(self):
         names = [a.name for a in MitigationAction]
@@ -449,5 +449,5 @@ class TestConfig:
         cfg = EnvConfig(delays={"PAUSE_BUILD": 1}, acceptance={"BLOCK_BUILD": 0})
         assert cfg.delays == {**DEFAULT_DELAYS, "PAUSE_BUILD": 1.0}
         assert cfg.acceptance == {**DEFAULT_ACCEPTANCE, "BLOCK_BUILD": 0.0}
-        assert type(cfg.action_delay(MitigationAction.PAUSE_BUILD)) is float
+        assert type(cfg.delays["PAUSE_BUILD"]) is float
         assert EnvConfig(delays=dict(DEFAULT_DELAYS)) == EnvConfig()

@@ -16,7 +16,6 @@ from pipeguard.env import (
 from pipeguard.evaluation import (
     ARM_ORDER,
     BaselineKind,
-    ClassMetrics,
     DefenseEpisodeEnv,
     EpisodeRecord,
     ExperimentOptions,
@@ -25,6 +24,7 @@ from pipeguard.evaluation import (
     PolicyStack,
     ablation,
     calibration_suite,
+    class_scores,
     compare,
     comparison_csv,
     compute_metrics,
@@ -61,18 +61,19 @@ def mitigation(clock=3.0, injected=0.0, autonomous=True, rollback=True):
     )
 
 
-class TestClassMetrics:
+class TestClassScores:
     def test_zero_division_convention(self):
-        empty = ClassMetrics()
-        assert empty.precision == 0.0
-        assert empty.recall == 0.0
-        assert empty.f1 == 0.0
+        empty = class_scores(0, 0, 0, 0)
+        assert empty["precision"] == 0.0
+        assert empty["recall"] == 0.0
+        assert empty["f1"] == 0.0
 
     def test_known_values(self):
-        c = ClassMetrics(tp=8, fp=2, fn=2, tn=10)
-        assert c.precision == pytest.approx(0.8)
-        assert c.recall == pytest.approx(0.8)
-        assert c.f1 == pytest.approx(0.8)
+        c = class_scores(tp=8, fp=2, fn=2, tn=10)
+        assert (c["tp"], c["fp"], c["fn"], c["tn"]) == (8, 2, 2, 10)
+        assert c["precision"] == pytest.approx(0.8)
+        assert c["recall"] == pytest.approx(0.8)
+        assert c["f1"] == pytest.approx(0.8)
 
 
 class TestComputeMetrics:
@@ -102,6 +103,8 @@ class TestComputeMetrics:
             assert (got["tp"], got["fp"], got["fn"], got["tn"]) == (tp, fp, fn, tn)
             assert got["precision"] == (tp / (tp + fp) if tp + fp else 0.0)
             assert got["recall"] == (tp / (tp + fn) if tp + fn else 0.0)
+            p, r = got["precision"], got["recall"]
+            assert got["f1"] == (2 * p * r / (p + r) if p + r else 0.0)
 
     def test_mttm_includes_arm_latency(self):
         records = [record(mitigations=[mitigation(clock=3.0)]),
@@ -126,6 +129,9 @@ class TestComputeMetrics:
         report = compute_metrics([record()], BaselineKind.PROPOSED, 0, "x", 0.0)
         assert report.mttm_minutes == 0.0
         assert report.autonomy_rate == 1.0
+        assert report.rollback_success_rate == 0.0
+        assert report.overhead_percent == 0.0
+        assert report.false_positive_actions == 0
 
 
 class TestCalibrationSuite:
@@ -282,6 +288,21 @@ class TestAblation:
         result = ablation(suite, 3, proposed_policy, {"rl"}, options)
         assert result["false_positive_actions_delta"] > 0
         assert result["mttm_delta"] > 0
+
+    @pytest.mark.parametrize("disable, blocks_per_episode", [
+        ({"rl"}, 0), ({"reasoner"}, 0), ({"ledger"}, 1)])
+    def test_commits_only_the_chain_it_compares(self, suite, proposed_policy,
+                                                monkeypatch, disable,
+                                                blocks_per_episode):
+        """Only the ledger ablation compares against a committed chain, and
+        only its baseline commits one."""
+        calls = []
+        real = ledger_mod.append_block
+        monkeypatch.setattr(ledger_mod, "append_block",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        options = ExperimentOptions(episodes=6)
+        ablation(suite, 3, proposed_policy, disable, options)
+        assert len(calls) == blocks_per_episode * options.episodes
 
     def test_rl_off_leaves_caller_options_unchanged(self, suite, proposed_policy):
         options = ExperimentOptions(episodes=10)
