@@ -11,6 +11,7 @@ agents once, in pipeline order, so every class is observable; a run's
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -194,13 +195,17 @@ class RuleBasedReasoner:
 class DispatchTrace:
     findings: tuple[Finding, ...]    # every agent's, in AgentRole order
     assessment: Assessment
+    signals_digest: bytes            # sha256 of the observation, as the ledger records it
 
 
 def dispatch(state: EnvState, reasoner: RuleBasedReasoner) -> DispatchTrace:
     """Run every agent once, in pipeline order, on what its role observes,
     then fuse all their findings in that order."""
     findings = tuple(f for role in AgentRole for f in analyze(role, observe(state, role)))
-    return DispatchTrace(findings, reasoner.reason(findings))
+    doc = json.dumps([[s.stage.value, s.kind.value, s.content] for s in state.signals],
+                     separators=(",", ":"))
+    return DispatchTrace(findings, reasoner.reason(findings),
+                         hashlib.sha256(doc.encode()).digest())
 
 
 class Detector:

@@ -225,10 +225,9 @@ def compute_metrics(records: list[EpisodeRecord], arm: BaselineKind,
 class Decision(NamedTuple):
     verdict: Optional[VulnerabilityClass]
     action: MitigationAction
-    severity: float
 
 
-ALLOW = Decision(None, MitigationAction.ALLOW_CONTINUE, 0.0)
+ALLOW = Decision(None, MitigationAction.ALLOW_CONTINUE)
 
 
 def _fixed_response(findings) -> Decision:
@@ -237,7 +236,7 @@ def _fixed_response(findings) -> Decision:
     if not findings:
         return ALLOW
     top = max(findings, key=lambda f: f.confidence)
-    return Decision(top.hypothesis, FIXED_ACTION_MAP[top.hypothesis], top.confidence)
+    return Decision(top.hypothesis, FIXED_ACTION_MAP[top.hypothesis])
 
 
 # Each arm's stack maps a state to a Decision by `decide(state, prior_alerts)`.
@@ -274,7 +273,7 @@ class ProvenanceStack:
             return ALLOW
         for attack in state.active_attacks:
             if attack.vuln_class in ARTIFACT_ALTERING:
-                return Decision(attack.vuln_class, MitigationAction.BLOCK_BUILD, 1.0)
+                return Decision(attack.vuln_class, MitigationAction.BLOCK_BUILD)
         return ALLOW
 
 
@@ -302,8 +301,7 @@ class PolicyStack:
 
     def decide(self, state, prior_alerts):
         sid, assessment = policy_state(self.detector, state, prior_alerts)
-        action = MitigationAction(self.policy.greedy(sid))
-        return Decision(assessment.verdict, action, assessment.severity)
+        return Decision(assessment.verdict, MitigationAction(self.policy.greedy(sid)))
 
 
 class PlaybookStack:
@@ -317,9 +315,7 @@ class PlaybookStack:
         trace = self.detector.assess(state)
         assessment = trace.assessment
         if assessment.verdict is not None:
-            return Decision(assessment.verdict,
-                            FIXED_ACTION_MAP[assessment.verdict],
-                            assessment.severity)
+            return Decision(assessment.verdict, FIXED_ACTION_MAP[assessment.verdict])
         # No fused verdict: the static playbook still reacts to any finding.
         return _fixed_response(trace.findings)
 
@@ -379,7 +375,7 @@ def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
     fp_actions = 0
     requested_review = False
     total_return = 0.0
-    for pre_state, (verdict, action, _severity), transition in steps:
+    for pre_state, (verdict, action), transition in steps:
         total_return += transition.reward
         if action is not MitigationAction.ALLOW_CONTINUE:
             interventions += 1
@@ -437,30 +433,25 @@ def _init_ledger(seed: int) -> LedgerArtifacts:
     return LedgerArtifacts([genesis], validators, keys, acl)
 
 
-def _signals_digest(state: EnvState) -> bytes:
-    doc = json.dumps(
-        [[s.stage.value, s.kind.value, s.content] for s in state.signals],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(doc.encode()).digest()
-
-
-def _ledger_entries(steps: list[Step],
-                    global_clock: float) -> list[ledger_mod.LedgerEntry]:
-    """One ledger entry per decision of an episode."""
-    return [
-        ledger_mod.LedgerEntry(
+def _ledger_entries(steps: list[Step], global_clock: float,
+                    detector: Detector) -> list[ledger_mod.LedgerEntry]:
+    """One ledger entry per decision of an episode. What an entry says about
+    its state is the trace `detector` memoized when the stack decided on it."""
+    entries = []
+    for pre_state, (_, action), transition in steps:
+        trace = detector.assess(pre_state)
+        verdict, severity = trace.assessment.verdict, trace.assessment.severity
+        entries.append(ledger_mod.LedgerEntry(
             agent_id="mitigation-controller",
             role=AgentRole.CICD_MONITORING,
-            signals_digest=_signals_digest(pre_state),
+            signals_digest=trace.signals_digest,
             reasoning_summary=(f"{verdict.value} severity {severity:.3f}"
                                if verdict is not None else "benign"),
             action=action,
             outcome=transition.outcome,
             timestamp=int(global_clock + pre_state.clock_minutes),
-        )
-        for pre_state, (verdict, action, severity), transition in steps
-    ]
+        ))
+    return entries
 
 
 def run_experiment(
@@ -494,7 +485,7 @@ def _run(arm: BaselineKind, stack, latency: float, suite: list[AttackScenario],
         record = _episode_record(steps, scenarios, ep_seed, i, options, arm)
         if artifacts is not None:
             ledger_mod.append_block(
-                artifacts.chain, _ledger_entries(steps, global_clock),
+                artifacts.chain, _ledger_entries(steps, global_clock, stack.detector),
                 artifacts.validators.ids()[0],
                 artifacts.validators, artifacts.signing_keys, artifacts.acl,
                 timestamp=int(global_clock + record.duration_minutes),
@@ -588,20 +579,15 @@ def ablation(
         latency = DEFAULT_ARM_LATENCY[BaselineKind.PROPOSED]
     ablated, _, _ = _run(BaselineKind.PROPOSED, stack, latency, suite, seed,
                          replace(options, ledger_enabled=False))
-    deltas = {}
-    for vc in VulnerabilityClass:
-        b = baseline.per_class[vc.value]
-        a = ablated.per_class[vc.value]
-        deltas[vc.value] = {
-            "recall_delta": a["recall"] - b["recall"],
-            "precision_delta": a["precision"] - b["precision"],
-            "f1_delta": a["f1"] - b["f1"],
-        }
     return {
         "disabled": sorted(disable),
         "baseline": baseline.to_dict(),
         "ablated": ablated.to_dict(),
-        "per_class_deltas": deltas,
+        "per_class_deltas": {
+            vc.value: {f"{k}_delta": ablated.per_class[vc.value][k]
+                       - baseline.per_class[vc.value][k]
+                       for k in ("recall", "precision", "f1")}
+            for vc in VulnerabilityClass},
         "mttm_delta": ablated.mttm_minutes - baseline.mttm_minutes,
         "false_positive_actions_delta":
             ablated.false_positive_actions - baseline.false_positive_actions,
@@ -625,12 +611,9 @@ def compare(reports: list[MetricsReport]) -> dict:
             raise ConfigError(f"two reports of arm {r.arm}")
         by_arm[r.arm] = r
     arms = [a.value for a in ARM_ORDER if a.value in by_arm]
-    f1_rows = []
-    for vc in VulnerabilityClass:
-        row = {"class": vc.value}
-        for arm in arms:
-            row[arm] = by_arm[arm].per_class[vc.value]["f1"]
-        f1_rows.append(row)
+    f1_rows = [{"class": vc.value,
+                **{arm: by_arm[arm].per_class[vc.value]["f1"] for arm in arms}}
+               for vc in VulnerabilityClass]
     mttm_rows = [{"arm": arm, "mttm_minutes": by_arm[arm].mttm_minutes}
                  for arm in arms]
     overhead_rows = [{"arm": arm, "overhead_percent": by_arm[arm].overhead_percent}

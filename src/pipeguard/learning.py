@@ -115,10 +115,6 @@ def value_iteration(mdp: MDPSpec, tolerance: float = 1e-9) -> ValueIterationResu
     return ValueIterationResult(values, policy, sweeps)
 
 
-def bellman_residual(mdp: MDPSpec, values: np.ndarray) -> float:
-    return float(np.max(np.abs(action_values(mdp, values).max(axis=1) - values)))
-
-
 def optimal_reachable_states(mdp: MDPSpec, policy: np.ndarray) -> set[int]:
     """States reachable from the start distribution when following `policy`."""
     frontier = [int(s) for s in np.flatnonzero(mdp.start > 0)]

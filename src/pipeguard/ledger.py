@@ -518,20 +518,13 @@ def write_chain(chain: list[Block], path: str) -> None:
 def read_chain(path: str) -> list[Block]:
     """Parse a ledger file; raises DecodeError with the failing block index."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        r = _Reader(fh.read())
     blocks: list[Block] = []
-    pos = 0
-    while pos < len(data):
+    while not r.done():
         try:
-            if pos + 4 > len(data):
-                raise DecodeError("truncated length prefix")
-            (length,) = struct.unpack(">I", data[pos:pos + 4])
-            if pos + 4 + length > len(data):
-                raise DecodeError("truncated block payload")
-            blocks.append(Block.deserialize(data[pos + 4:pos + 4 + length]))
+            blocks.append(Block.deserialize(r.blob()))
         except DecodeError as exc:
             raise DecodeError(f"block {len(blocks)}: {exc}", len(blocks)) from exc
-        pos += 4 + length
     return blocks
 
 

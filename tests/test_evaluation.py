@@ -1,15 +1,19 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from pipeguard import evaluation, learning, ledger as ledger_mod
+from pipeguard.agents import Detector
 from pipeguard.env import (
     ConfigError,
     EnvConfig,
     MitigationAction,
+    PipelineEnv,
     PipelineStage,
     VulnerabilityClass,
 )
@@ -226,6 +230,55 @@ class TestArms:
         assert on[2] is not None and off[2] is None
         assert on[0] == off[0]
         assert on[1] == off[1]
+
+    @pytest.mark.parametrize("arm", ARM_ORDER, ids=lambda arm: arm.value)
+    def test_arm_constants_reach_the_outputs(self, suite, proposed_policy,
+                                             detector_only_policy, arm):
+        """MTTM is the simulated delay plus the arm's actuation constant, and
+        benign overhead is the arm's per-step analysis cost plus action delays."""
+        latency, analysis_cost = {
+            BaselineKind.RULE_BASED: (25.0, 0.07),
+            BaselineKind.PROVENANCE_ONLY: (25.0, 0.05),
+            BaselineKind.RL_ONLY: (6.0, 0.12),
+            BaselineKind.PROPOSED: (0.0, 0.17),
+        }[arm]
+        policy = detector_only_policy if arm is BaselineKind.RL_ONLY else proposed_policy
+        report, records, _ = run_experiment(
+            arm, suite, 17, policy, ExperimentOptions(episodes=200, ledger_enabled=False))
+        mitigations = [m for r in records for m in r.mitigations]
+        simulated = np.mean([m.mitigated_clock - m.injected_clock for m in mitigations])
+        assert report.mttm_minutes - simulated == pytest.approx(latency)
+        if arm in evaluation.HUMAN_GATED:
+            assert not any(m.autonomous for m in mitigations)
+        step_minutes = ExperimentOptions().env_config.step_minutes
+        benign = [r for r in records if r.benign]
+        assert benign
+        for r in benign:
+            steps = r.undefended_minutes / step_minutes
+            cost = (r.duration_minutes - r.undefended_minutes - r.build_delay) / steps
+            assert cost == pytest.approx(analysis_cost)
+
+    def test_ledger_entries_record_the_fused_assessment_of_each_state(
+            self, suite, proposed_policy):
+        seed, options = 3, ExperimentOptions(episodes=12)
+        _, _, artifacts = run_experiment(BaselineKind.PROPOSED, suite, seed,
+                                         proposed_policy, options)
+        pipeline = PipelineEnv(options.env_config)
+        decide = PolicyStack(proposed_policy).decide
+        for i, block in enumerate(artifacts.chain[1:]):
+            scenarios, ep_seed = evaluation._plan_episode(
+                seed, i, suite, options.benign_fraction)
+            steps = list(evaluation.episode_steps(decide, pipeline, scenarios, ep_seed))
+            assert len(block.entries) == len(steps)
+            for entry, (pre_state, decision, _) in zip(block.entries, steps):
+                doc = json.dumps([[s.stage.value, s.kind.value, s.content]
+                                  for s in pre_state.signals], separators=(",", ":"))
+                assert entry.signals_digest == hashlib.sha256(doc.encode()).digest()
+                assessment = Detector().assess(pre_state).assessment
+                assert entry.reasoning_summary == (
+                    f"{assessment.verdict.value} severity {assessment.severity:.3f}"
+                    if assessment.verdict is not None else "benign")
+                assert entry.action is decision.action
 
 
 class TestTrainingEnv:
