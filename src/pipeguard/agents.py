@@ -171,7 +171,7 @@ class RuleBasedReasoner:
                 p = cross_stage_boost(p, CROSS_STAGE_FACTOR)
             if p > best_p:
                 best, best_p = vc, p
-        if best is None or best_p < FUSION_THRESHOLD:
+        if best_p < FUSION_THRESHOLD:
             return BENIGN_ASSESSMENT
         group = by_class[best]
         evidence = sorted({tok for f in group for tok in f.evidence})
@@ -183,7 +183,7 @@ class RuleBasedReasoner:
         )
         return Assessment(
             verdict=best,
-            severity=min(best_p, 1.0),
+            severity=best_p,
             rationale=rationale,
         )
 

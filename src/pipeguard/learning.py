@@ -9,6 +9,7 @@ space so exact oracles stay tractable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Protocol
 
@@ -89,7 +90,6 @@ class MDPSpec:
 class ValueIterationResult:
     values: np.ndarray
     policy: np.ndarray  # greedy action index per state
-    sweeps: int
 
 
 def action_values(mdp: MDPSpec, values: np.ndarray) -> np.ndarray:
@@ -102,17 +102,15 @@ def action_values(mdp: MDPSpec, values: np.ndarray) -> np.ndarray:
 
 def value_iteration(mdp: MDPSpec, tolerance: float = 1e-9) -> ValueIterationResult:
     values = np.zeros(len(mdp.states))
-    sweeps = 0
     while True:
         q = action_values(mdp, values)
         new_values = q.max(axis=1)
-        sweeps += 1
         if np.max(np.abs(new_values - values)) < tolerance:
             values = new_values
             break
         values = new_values
     policy = action_values(mdp, values).argmax(axis=1)
-    return ValueIterationResult(values, policy, sweeps)
+    return ValueIterationResult(values, policy)
 
 
 def optimal_reachable_states(mdp: MDPSpec, policy: np.ndarray) -> set[int]:
@@ -132,15 +130,22 @@ def optimal_reachable_states(mdp: MDPSpec, policy: np.ndarray) -> set[int]:
 
 # -- policies ------------------------------------------------------------------
 
+# The learners' exploration and update settings. Each start/end pair is a
+# linear_schedule from the first episode to the last.
+EPSILON_START, EPSILON_END = 1.0, 0.05                  # DQN's exploration rate
+ENTROPY_COEFF_START, ENTROPY_COEFF_END = 0.01, 0.0      # PPO's entropy bonus
+CLIP_EPSILON = 0.2                                      # PPO's ratio clip
+BATCH_SIZE = 8                                          # PPO episodes per update
+PPO_EPOCHS = 4                                          # PPO gradient steps per batch
+
 
 @dataclass
 class Policy:
     kind: str                    # "tabular-greedy" | "linear-softmax"
     params: np.ndarray           # [S, A]: Q values or logits
     actions: tuple[str, ...]
-    encoding_version: int = ENCODING_VERSION
     seed: int = 0
-    epsilon: float = 0.05        # DQN's final exploration rate, kept in policy.json
+    epsilon: float = EPSILON_END  # DQN's final exploration rate, kept in policy.json
 
     def greedy(self, state_id: int) -> int:
         self._check(state_id)
@@ -162,7 +167,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def save_policy(policy: Policy, path: str) -> None:
     doc = {
         "kind": policy.kind,
-        "encoding_version": policy.encoding_version,
+        "encoding_version": ENCODING_VERSION,
         "actions": list(policy.actions),
         "seed": policy.seed,
         "epsilon": policy.epsilon,
@@ -188,7 +193,6 @@ def load_policy(path: str) -> Policy:
         kind=doc["kind"],
         params=np.array(doc["params"], dtype=float),
         actions=tuple(doc["actions"]),
-        encoding_version=doc["encoding_version"],
         seed=doc["seed"],
         epsilon=doc["epsilon"],
     )
@@ -203,14 +207,7 @@ class TrainConfig:
     learning_rate: float = 0.3
     gamma: float = 0.99
     episodes: int = 3000
-    entropy_coeff_start: float = 0.01
-    entropy_coeff_end: float = 0.0
-    clip_epsilon: float = 0.2
     seed: int = 0
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    batch_size: int = 8
-    ppo_epochs: int = 4
     max_episode_steps: int = 200
 
     def __post_init__(self):
@@ -220,18 +217,10 @@ class TrainConfig:
             raise ConfigError("gamma must be in [0, 1)")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
-        if self.seed < 0 or self.batch_size < 1 or self.max_episode_steps < 1:
-            raise ConfigError("seed must be >= 0, batch_size and max_episode_steps >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ConfigError("clip_epsilon must be in (0, 1)")
-        if not (0.0 <= self.epsilon_start <= 1.0 and 0.0 <= self.epsilon_end <= 1.0):
-            raise ConfigError("epsilon_start and epsilon_end must be in [0, 1]")
-        if self.ppo_epochs < 1:
-            raise ConfigError("ppo_epochs must be >= 1")
-        if self.entropy_coeff_start < 0 or self.entropy_coeff_end < 0:
-            raise ConfigError("entropy_coeff_start and entropy_coeff_end must be >= 0")
+        if self.seed < 0 or self.max_episode_steps < 1:
+            raise ConfigError("seed must be >= 0 and max_episode_steps >= 1")
+        if not 0.0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ConfigError("learning_rate must be > 0 and finite")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
@@ -300,7 +289,7 @@ def train_dqn(env: EpisodicEnv, config: TrainConfig) -> Policy:
     rng = np.random.default_rng(config.seed)
     q = np.zeros((env.n_states, env.n_actions))
     for ep in range(config.episodes):
-        eps = linear_schedule(config.epsilon_start, config.epsilon_end, ep, config.episodes)
+        eps = linear_schedule(EPSILON_START, EPSILON_END, ep, config.episodes)
         s = env.reset(rng)
         for _ in range(config.max_episode_steps):
             if rng.random() < eps:
@@ -314,7 +303,7 @@ def train_dqn(env: EpisodicEnv, config: TrainConfig) -> Policy:
             if done:
                 break
     return Policy(kind="tabular-greedy", params=q, actions=env.action_labels,
-                  seed=config.seed, epsilon=config.epsilon_end)
+                  seed=config.seed)
 
 
 def ppo_objective_and_grad(
@@ -324,7 +313,7 @@ def ppo_objective_and_grad(
     advantages: np.ndarray,
     old_logp: np.ndarray,
     clip_epsilon: float,
-    entropy_coeff: float,
+    entropy_weight: float,
 ) -> tuple[float, np.ndarray]:
     """Clipped surrogate objective plus entropy bonus, with its closed-form
     gradient for a softmax policy parameterized by a per-state logit table.
@@ -350,10 +339,10 @@ def ppo_objective_and_grad(
         logs = np.where(probs > 0, np.log(probs), 0.0)
     entropy = -(probs * logs).sum(axis=1)
     sample_grad = (np.where(unclipped_active, advantages * ratio, 0.0)[:, None] * dlogp
-                   + entropy_coeff * (-probs * (logs + entropy[:, None])))
+                   + entropy_weight * (-probs * (logs + entropy[:, None])))
     grad = np.zeros_like(theta)
     np.add.at(grad, states, sample_grad)
-    total = float(surrogate.sum() + entropy_coeff * entropy.sum())
+    total = float(surrogate.sum() + entropy_weight * entropy.sum())
     return total / n, grad / n
 
 
@@ -370,7 +359,7 @@ def train_ppo(env: EpisodicEnv, config: TrainConfig) -> Policy:
     baseline_count = np.zeros(env.n_states)
     episodes_done = 0
     while episodes_done < config.episodes:
-        batch = min(config.batch_size, config.episodes - episodes_done)
+        batch = min(BATCH_SIZE, config.episodes - episodes_done)
         # theta is fixed while a batch is rolled out.
         probs = softmax(theta)
         cdf = _row_cdf(probs)
@@ -403,12 +392,11 @@ def train_ppo(env: EpisodicEnv, config: TrainConfig) -> Policy:
             baseline_count[s] += 1
             baseline[s] += (g - baseline[s]) / baseline_count[s]
         old_logp = np.log(probs[states_a, actions_a])
-        coeff = linear_schedule(config.entropy_coeff_start, config.entropy_coeff_end,
+        coeff = linear_schedule(ENTROPY_COEFF_START, ENTROPY_COEFF_END,
                                 episodes_done, config.episodes)
-        for _ in range(config.ppo_epochs):
+        for _ in range(PPO_EPOCHS):
             _, grad = ppo_objective_and_grad(
-                theta, states_a, actions_a, advantages, old_logp,
-                config.clip_epsilon, coeff,
+                theta, states_a, actions_a, advantages, old_logp, CLIP_EPSILON, coeff,
             )
             theta = theta + config.learning_rate * grad
         episodes_done += batch

@@ -457,14 +457,16 @@ MALFORMED = [
                                    {"evaluate": {"playbook_latency": -50}}, "--out", OUT],
      "unknown evaluate config fields: ['playbook_latency']"),
     ("train-learning-rate", train_config(learning_rate=0), "learning_rate must be > 0"),
-    ("train-clip-epsilon", train_config(clip_epsilon=1), "clip_epsilon must be in (0, 1)"),
+    ("train-clip-epsilon", train_config(clip_epsilon=1),
+     "unknown training config fields: ['clip_epsilon']"),
     ("train-epsilon-start", train_config(epsilon_start=1.5),
-     "epsilon_start and epsilon_end must be in [0, 1]"),
+     "unknown training config fields: ['epsilon_start']"),
     ("train-epsilon-end", train_config(epsilon_end=-0.1),
-     "epsilon_start and epsilon_end must be in [0, 1]"),
-    ("train-ppo-epochs", train_config(ppo_epochs=0), "ppo_epochs must be >= 1"),
+     "unknown training config fields: ['epsilon_end']"),
+    ("train-ppo-epochs", train_config(ppo_epochs=0),
+     "unknown training config fields: ['ppo_epochs']"),
     ("train-entropy-coeff", train_config(entropy_coeff_start=-0.01),
-     "entropy_coeff_start and entropy_coeff_end must be >= 0"),
+     "unknown training config fields: ['entropy_coeff_start']"),
     ("compare-empty-report", ["compare", {}, report_doc(), "--out", OUT],
      "missing report fields: ['arm', "),
     ("compare-f1-str", ["compare", report_doc(), report_doc("x"), "--out", OUT],
@@ -532,9 +534,8 @@ def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, messag
 
 # The same checks hold for a value built in code, without a file.
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: TrainConfig(batch_size=0), ConfigError,
-     "seed must be >= 0, batch_size and max_episode_steps >= 1"),
-    (lambda: TrainConfig(clip_epsilon=1.0), ConfigError, "clip_epsilon must be in (0, 1)"),
+    (lambda: TrainConfig(learning_rate=math.nan), ConfigError, "learning_rate must be > 0"),
+    (lambda: TrainConfig(learning_rate=math.inf), ConfigError, "learning_rate must be > 0"),
     (lambda: EnvConfig(decoy_probability=7.0), ConfigError,
      "decoy_probability must be in [0, 1]"),
     (lambda: EnvConfig(delays={"BLOCK_BUILD": -1}), ConfigError,
@@ -552,9 +553,9 @@ def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, messag
                             PipelineStage.SOURCE_MANAGEMENT, (), True, False, 0.5),
      ConfigError, "scenario s1: payload must be non-empty"),
     (lambda: Envelope(kind="bogus"), FrameError, "unknown kind 'bogus'"),
-], ids=["train-batch-size", "train-clip-epsilon", "env-decoy-probability", "env-delays",
-        "env-delays-name", "env-acceptance-name", "options-benign-fraction", "options-episodes",
-        "reward-beta", "scenario-payload", "envelope-kind"])
+], ids=["train-learning-rate-nan", "train-learning-rate-inf", "env-decoy-probability",
+        "env-delays", "env-delays-name", "env-acceptance-name", "options-benign-fraction",
+        "options-episodes", "reward-beta", "scenario-payload", "envelope-kind"])
 def test_values_built_in_code_are_checked(build, error, message):
     with pytest.raises(error) as exc:
         build()

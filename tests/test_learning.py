@@ -12,6 +12,10 @@ from pipeguard.evaluation import train_mitigation_policy
 from pipeguard.env import ConfigError, MitigationAction, PipelineEnv, VulnerabilityClass
 from pipeguard.learning import (
     ENCODING_VERSION,
+    ENTROPY_COEFF_END,
+    ENTROPY_COEFF_START,
+    EPSILON_END,
+    EPSILON_START,
     MDPEnv,
     MDPSpec,
     N_STATES,
@@ -173,7 +177,7 @@ class TestPolicy:
         loaded = load_policy(str(path))
         assert loaded.kind == p.kind
         assert loaded.actions == p.actions
-        assert loaded.encoding_version == ENCODING_VERSION
+        assert json.loads(path.read_text())["encoding_version"] == ENCODING_VERSION
         np.testing.assert_array_equal(loaded.params, p.params)
         # identical bytes on re-save
         path2 = tmp_path / "again.json"
@@ -254,9 +258,8 @@ class TestTrainConfig:
 
     def test_linear_schedule_endpoints(self):
         # PPO's entropy coefficient and DQN's epsilon share one schedule.
-        cfg = TrainConfig(entropy_coeff_start=0.01, entropy_coeff_end=0.0)
-        for start, end in ((cfg.entropy_coeff_start, cfg.entropy_coeff_end),
-                           (cfg.epsilon_start, cfg.epsilon_end)):
+        for start, end in ((ENTROPY_COEFF_START, ENTROPY_COEFF_END),
+                           (EPSILON_START, EPSILON_END)):
             assert linear_schedule(start, end, 0, 100) == pytest.approx(start)
             assert linear_schedule(start, end, 99, 100) == pytest.approx(end)
             for episodes in (0, 1):
