@@ -389,7 +389,9 @@ _ENV_CONFIG_FIELDS = {
     "decoy_probability": float, "decoys_only_benign": bool, "delays": dict, "acceptance": dict,
 }
 _REWARD_FIELDS = dict.fromkeys(RewardParams.__dataclass_fields__, float)
-_PER_ACTION_FIELDS = dict.fromkeys((a.name for a in MitigationAction), float)
+# Each action's name, indexed by MitigationAction: cheaper per step than `.name`.
+_ACTION_NAMES = tuple(a.name for a in MitigationAction)
+_PER_ACTION_FIELDS = dict.fromkeys(_ACTION_NAMES, float)
 
 
 def env_config_from_dict(obj: dict) -> EnvConfig:
@@ -413,10 +415,11 @@ def developer_response(
     config: EnvConfig,
 ) -> bool:
     """Seeded pseudo-random developer acceptance draw for an action."""
-    p = config.acceptance[action.name]
+    name = _ACTION_NAMES[action]
+    p = config.acceptance[name]
     if p >= 1.0:
         return True
-    return unit_draw("dev", run_seed, step, action.name) < p
+    return unit_draw("dev", run_seed, step, name) < p
 
 
 def observe(state: EnvState, role: AgentRole) -> list[ObservationSignal]:
@@ -461,6 +464,12 @@ def rollback_succeeds(pre: EnvState, action: MitigationAction) -> bool:
     return action in INVERTIBLE_ACTIONS and not pre.paused
 
 
+# The stages and each stage's stage_ok signal, built once and indexed by PipelineStage.
+_STAGES = tuple(PipelineStage)
+_STAGE_OK = tuple(ObservationSignal(stage, STAGE_KIND[stage], f"stage_ok {stage_name(stage)}")
+                  for stage in PipelineStage)
+
+
 class PipelineEnv:
     """One simulated pipeline environment bound to a configuration."""
 
@@ -473,7 +482,7 @@ class PipelineEnv:
         run_id = "run-" + hashlib.sha256(
             ("|".join(sorted(s.id for s in scenarios)) + f"|{seed}").encode()
         ).hexdigest()[:16]
-        state = EnvState(
+        fields = dict(
             run_id=run_id,
             stage=PipelineStage.SOURCE_MANAGEMENT,
             step=0,
@@ -483,9 +492,12 @@ class PipelineEnv:
             rng_seed=seed,
             done=False,
             pending_attacks=tuple(scenarios),
+            clock_minutes=0.0,
+            injection_clock=(),
             attacked=bool(scenarios),
         )
-        return self._enter_stage(state, PipelineStage.SOURCE_MANAGEMENT)
+        self._enter_stage(fields, PipelineStage.SOURCE_MANAGEMENT)
+        return EnvState(**fields)
 
     def step(self, state: EnvState, action: MitigationAction) -> Transition:
         """Advance one decision step; pure in (state, action)."""
@@ -493,21 +505,17 @@ class PipelineEnv:
             raise ContractViolation("step() called on a finished run")
 
         accepted = developer_response(action, state.rng_seed, state.step, self.config)
-        delay_inc = self.config.delays[action.name]
-        mitigated = tuple(
-            a for a in state.active_attacks
-            if mitigates(action, a, state.stage, accepted)
-        )
-        intervention = action is not MitigationAction.ALLOW_CONTINUE
+        delay_inc = self.config.delays[_ACTION_NAMES[action]]
+        mitigated = tuple(a for a in state.active_attacks
+                          if mitigates(action, a, state.stage, accepted))
         outcome = OutcomeFlags(
             attack_mitigated=bool(mitigated),
-            false_positive=intervention and not state.active_attacks,
+            false_positive=action is not MitigationAction.ALLOW_CONTINUE
+            and not state.active_attacks,
             developer_accepted=accepted,
             build_delay=delay_inc,
         )
         reward = compute_reward(outcome, self.config.reward)
-
-        cleared = {a.id for a in mitigated}
 
         # A run ends on a block or when the last stage runs out of steps; a
         # finished run keeps its steps_in_stage, a live one counts on or, at
@@ -520,22 +528,25 @@ class PipelineEnv:
         else:
             steps_in_stage = 0 if stage_exhausted else state.steps_in_stage + 1
 
-        # One constructor call per step: dataclasses.replace walks the fields
-        # on every call, which the per-step path cannot afford.
-        nxt = EnvState(**{
+        fields = {
             **state.__dict__,
-            "active_attacks": tuple(a for a in state.active_attacks
-                                    if a.id not in cleared),
-            "signals": tuple(s for s in state.signals if s.origin_attack not in cleared),
             "step": state.step + 1,
             "build_delay": state.build_delay + delay_inc,
             "clock_minutes": state.clock_minutes + self.config.step_minutes + delay_inc,
             "paused": action is MitigationAction.PAUSE_BUILD,
             "done": done,
             "steps_in_stage": steps_in_stage,
-        })
+        }
+        if mitigated:
+            cleared = {a.id for a in mitigated}
+            fields["active_attacks"] = tuple(a for a in state.active_attacks
+                                             if a.id not in cleared)
+            fields["signals"] = tuple(s for s in state.signals if s.origin_attack not in cleared)
         if stage_exhausted and not done:
-            nxt = self._enter_stage(nxt, PipelineStage(state.stage + 1))
+            self._enter_stage(fields, _STAGES[state.stage + 1])
+        # Skip the frozen __init__'s per-field __setattr__; EnvState has no __post_init__.
+        nxt = object.__new__(EnvState)
+        nxt.__dict__.update(fields)
         return Transition(nxt, reward, done, outcome, mitigated)
 
     def pause(self, state: EnvState) -> EnvState:
@@ -559,36 +570,33 @@ class PipelineEnv:
 
     # -- internals -----------------------------------------------------------
 
-    def _enter_stage(self, state: EnvState, stage: PipelineStage) -> EnvState:
-        seed = state.rng_seed
-        injected = tuple(s for s in state.pending_attacks if s.stage is stage)
-        new_signals: list[ObservationSignal] = [
-            ObservationSignal(stage, STAGE_KIND[stage], f"stage_ok {stage_name(stage)}"),
+    def _enter_stage(self, fields: dict, stage: PipelineStage) -> None:
+        """Enter `stage` in a state's field dict: inject its scenarios, emit its signals."""
+        seed = fields["rng_seed"]
+        injected = tuple(s for s in fields["pending_attacks"] if s.stage is stage)
+        new_signals = [
+            _STAGE_OK[stage],
             *(ObservationSignal(stage, attack_signal_kind(s.vuln_class, stage),
                                 " ".join(s.payload), origin_attack=s.id)
               for s in injected),
         ]
         # Persisting semantic attacks leave one weak trace in the next stage.
-        for a in state.active_attacks:
+        for a in fields["active_attacks"]:
             if a.semantic_detectable and stage == a.stage + 1:
                 kind = attack_signal_kind(a.vuln_class, stage)
                 token = DEFAULT_ECHO_TOKENS[a.vuln_class].get(kind)
                 if token:
-                    new_signals.append(ObservationSignal(
-                        stage, kind, token, origin_attack=a.id,
-                    ))
-        if (not state.attacked or not self.config.decoys_only_benign) \
-                and unit_draw("decoy", seed, stage.value) < self.config.decoy_probability:
-            idx = int(unit_draw("decoy-pick", seed, stage.value) * len(DEFAULT_DECOYS))
+                    new_signals.append(ObservationSignal(stage, kind, token, origin_attack=a.id))
+        if (not fields["attacked"] or not self.config.decoys_only_benign) \
+                and unit_draw("decoy", seed, int(stage)) < self.config.decoy_probability:
+            idx = int(unit_draw("decoy-pick", seed, int(stage)) * len(DEFAULT_DECOYS))
             kind, token = DEFAULT_DECOYS[min(idx, len(DEFAULT_DECOYS) - 1)]
             new_signals.append(ObservationSignal(stage, kind, token))
-        return EnvState(**{
-            **state.__dict__,
-            "stage": stage,
-            "active_attacks": state.active_attacks + injected,
-            "pending_attacks": tuple(s for s in state.pending_attacks
-                                     if s.stage is not stage),
-            "signals": state.signals + tuple(new_signals),
-            "injection_clock": state.injection_clock + tuple(
-                (s.id, state.clock_minutes) for s in injected),
-        })
+        fields["stage"] = stage
+        fields["signals"] += tuple(new_signals)
+        if injected:
+            fields["active_attacks"] += injected
+            fields["pending_attacks"] = tuple(s for s in fields["pending_attacks"]
+                                              if s.stage is not stage)
+            fields["injection_clock"] += tuple((s.id, fields["clock_minutes"])
+                                               for s in injected)

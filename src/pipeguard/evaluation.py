@@ -506,6 +506,7 @@ class DefenseEpisodeEnv:
     n_states = learning.N_STATES
     n_actions = len(MitigationAction)
     action_labels = tuple(a.name for a in MitigationAction)
+    _actions = tuple(MitigationAction)  # indexed by the learner's action id
 
     def __init__(self, suite: list[AttackScenario], seed: int,
                  env_config: Optional[EnvConfig] = None,
@@ -528,7 +529,7 @@ class DefenseEpisodeEnv:
     def step(self, action: int) -> tuple[int, float, bool]:
         if self._assessment.verdict is not None:
             self._prior_alerts += 1
-        transition = self.pipeline.step(self._state, MitigationAction(action))
+        transition = self.pipeline.step(self._state, self._actions[action])
         self._state = transition.next_state
         if transition.done:
             return 0, transition.reward, True

@@ -145,7 +145,6 @@ class Policy:
     params: np.ndarray           # [S, A]: Q values or logits
     actions: tuple[str, ...]
     seed: int = 0
-    epsilon: float = EPSILON_END  # DQN's final exploration rate, kept in policy.json
 
     def greedy(self, state_id: int) -> int:
         self._check(state_id)
@@ -170,7 +169,7 @@ def save_policy(policy: Policy, path: str) -> None:
         "encoding_version": ENCODING_VERSION,
         "actions": list(policy.actions),
         "seed": policy.seed,
-        "epsilon": policy.epsilon,
+        "epsilon": EPSILON_END,  # kept in the file format; nothing reads it back
         "params": [[float(v) for v in row] for row in policy.params],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -194,7 +193,6 @@ def load_policy(path: str) -> Policy:
         params=np.array(doc["params"], dtype=float),
         actions=tuple(doc["actions"]),
         seed=doc["seed"],
-        epsilon=doc["epsilon"],
     )
 
 
@@ -287,22 +285,25 @@ def train_dqn(env: EpisodicEnv, config: TrainConfig) -> Policy:
     """Tabular Q-learning with epsilon-greedy exploration (linear decay).
     Consumes `env`, whose episodes go on from where it stands: pass a fresh one."""
     rng = np.random.default_rng(config.seed)
-    q = np.zeros((env.n_states, env.n_actions))
+    # Python float rows: the same IEEE arithmetic as an array, without numpy's
+    # per-element call cost; row.index(max(row)) is np.argmax's first maximum.
+    q = [[0.0] * env.n_actions for _ in range(env.n_states)]
     for ep in range(config.episodes):
         eps = linear_schedule(EPSILON_START, EPSILON_END, ep, config.episodes)
         s = env.reset(rng)
         for _ in range(config.max_episode_steps):
+            row = q[s]
             if rng.random() < eps:
                 a = int(rng.integers(env.n_actions))
             else:
-                a = int(np.argmax(q[s]))
+                a = row.index(max(row))
             nxt, r, done = env.step(a)
-            target = r if done else r + config.gamma * float(q[nxt].max())
-            q[s, a] += config.learning_rate * (target - q[s, a])
+            target = r if done else r + config.gamma * max(q[nxt])
+            row[a] += config.learning_rate * (target - row[a])
             s = nxt
             if done:
                 break
-    return Policy(kind="tabular-greedy", params=q, actions=env.action_labels,
+    return Policy(kind="tabular-greedy", params=np.array(q), actions=env.action_labels,
                   seed=config.seed)
 
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import re
@@ -235,6 +237,22 @@ class TestScriptedEpisodes:
         assert state.done
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(SCRIPTED_EPISODES))
+    def test_step_is_pure_and_returns_frozen_states(self, name):
+        config, scenarios, seed, actions = SCRIPTED_EPISODES[name]
+        env = PipelineEnv(config)
+        state = env.reset(scenarios, seed)
+        for scripted in actions:
+            for action in MitigationAction:
+                before = copy.deepcopy(state)
+                transition = env.step(state, action)
+                assert state == before
+                assert env.step(state, action) == transition
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    transition.next_state.step = 0
+            state = env.step(state, scripted).next_state
+        assert state.done
 
 
 class TestStepDynamics:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mdp_corpus import chain_mdp, corpus, toy_compromise_mdp
+from mdp_corpus import chain_mdp, corpus, gridworld_mdp, toy_compromise_mdp
 from pipeguard.agents import BENIGN_ASSESSMENT, Assessment
 from pipeguard.cli import main
 from pipeguard.evaluation import train_mitigation_policy
@@ -291,6 +292,23 @@ class TestTraining:
         p1 = train(MDPEnv(mdp), cfg)
         p2 = train(MDPEnv(mdp), cfg)
         np.testing.assert_array_equal(p1.params, p2.params)
+
+    # sha256 of the params each learner returns on one corpus MDP, which
+    # checks the learners' arithmetic and tie-breaks bit for bit apart from
+    # the pipeline env.
+    PARAMS_SHA256 = {
+        "DQN": "4c7ff0b50a3d6dcb1af4b98eaa29ab3661fe51a3abe6397804b044ff3dbda677",
+        "PPO": "41cff7b3ac00e087a2fef7c9e27cccbb2459458e41f7d4b7c74e63a96842def0",
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(PARAMS_SHA256))
+    def test_learned_params_are_pinned(self, algorithm):
+        mdp = gridworld_mdp(3)
+        cfg = TrainConfig(algorithm=algorithm, learning_rate=0.3, episodes=300,
+                          gamma=mdp.gamma, seed=7, max_episode_steps=50)
+        params = train(MDPEnv(mdp), cfg).params
+        assert params.dtype == np.float64 and params.shape == (9, 4)
+        assert hashlib.sha256(params.tobytes()).hexdigest() == self.PARAMS_SHA256[algorithm]
 
     def test_zero_episodes_yields_neutral_policy(self):
         mdp = toy_compromise_mdp()
