@@ -478,20 +478,20 @@ def _run(arm: BaselineKind, stack, latency: float, suite: list[AttackScenario],
     artifacts: Optional[LedgerArtifacts] = None
     if arm is BaselineKind.PROPOSED and options.ledger_enabled:
         artifacts = _init_ledger(seed)
+    batches = []  # one block's (entries, timestamp) per episode
     global_clock = 0.0
     for i in range(options.episodes):
         scenarios, ep_seed = _plan_episode(seed, i, suite, options.benign_fraction)
         steps = list(episode_steps(stack.decide, pipeline, scenarios, ep_seed))
         record = _episode_record(steps, scenarios, ep_seed, i, options, arm)
         if artifacts is not None:
-            ledger_mod.append_block(
-                artifacts.chain, _ledger_entries(steps, global_clock, stack.detector),
-                artifacts.validators.ids()[0],
-                artifacts.validators, artifacts.signing_keys, artifacts.acl,
-                timestamp=int(global_clock + record.duration_minutes),
-            )
+            batches.append((_ledger_entries(steps, global_clock, stack.detector),
+                            int(global_clock + record.duration_minutes)))
         global_clock += record.duration_minutes
         records.append(record)
+    if artifacts is not None:
+        ledger_mod.append_blocks(artifacts.chain, batches, artifacts.validators.ids()[0],
+                                 artifacts.validators, artifacts.signing_keys, artifacts.acl)
     report = compute_metrics(records, arm, seed, digest, latency)
     return report, records, artifacts
 

@@ -8,6 +8,7 @@ space so exact oracles stay tractable.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, fields
@@ -255,30 +256,33 @@ def _row_cdf(p: np.ndarray) -> np.ndarray:
 
 
 class MDPEnv:
-    """Episodic adapter over a finite MDPSpec."""
+    """Episodic adapter over a finite MDPSpec.
+
+    Rewards and CDF rows are held as Python lists: bisect_right on a row is
+    searchsorted(side="right"), without numpy's per-call cost on every step.
+    """
 
     def __init__(self, mdp: MDPSpec):
         self.mdp = mdp
         self.n_states = len(mdp.states)
         self.n_actions = len(mdp.actions)
         self.action_labels = tuple(mdp.actions)
-        self._start_cdf = _row_cdf(mdp.start)
-        self._transition_cdf = _row_cdf(mdp.transitions)
+        self._start_cdf = _row_cdf(mdp.start).tolist()
+        self._transition_cdf = _row_cdf(mdp.transitions).tolist()
+        self._rewards = mdp.rewards.tolist()
         self._state = 0
         self._rng: Optional[np.random.Generator] = None
 
     def reset(self, rng: np.random.Generator) -> int:
         self._rng = rng
-        self._state = int(self._start_cdf.searchsorted(rng.random(), side="right"))
+        self._state = bisect.bisect_right(self._start_cdf, rng.random())
         return self._state
 
     def step(self, action: int) -> tuple[int, float, bool]:
         s = self._state
-        reward = float(self.mdp.rewards[s, action])
-        cdf = self._transition_cdf[s, action]
-        nxt = int(cdf.searchsorted(self._rng.random(), side="right"))
+        nxt = bisect.bisect_right(self._transition_cdf[s][action], self._rng.random())
         self._state = nxt
-        return nxt, reward, nxt in self.mdp.terminal
+        return nxt, self._rewards[s][action], nxt in self.mdp.terminal
 
 
 def train_dqn(env: EpisodicEnv, config: TrainConfig) -> Policy:

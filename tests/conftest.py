@@ -1,6 +1,15 @@
+import multiprocessing
+
 import pytest
 
 from pipeguard import evaluation, learning
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """Worker pools (the ledger's vote fan-out) end within the call that starts them."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import multiprocessing
+import os
 
 import pytest
+from cryptography.exceptions import InvalidSignature
 from hypothesis import given, settings, strategies as st
 
 from pipeguard import ledger
@@ -23,6 +26,7 @@ from pipeguard.ledger import (
     LedgerError,
     ZERO_HASH,
     append_block,
+    append_blocks,
     bft_commit,
     default_acl,
     entries_root,
@@ -421,3 +425,191 @@ class TestValidators:
         genesis = make_genesis(validators, keys, acl)
         assert genesis.prev_hash == ZERO_HASH
         assert genesis.index == 0
+
+
+# -- the vote fan-out: pool and in-process paths give the same bytes and verdicts
+
+
+def batches(n):
+    """`n` blocks' (entries, timestamp); every fifth leaves the timestamp to
+    append_block's default."""
+    return [([entry(ts=10 * i + j) for j in range(i % 3)], None if i % 5 == 0 else 10 * i)
+            for i in range(n)]
+
+
+def reference_verify(chain, validators, acl):
+    """verify_chain as one block-by-block walk."""
+    if not chain:
+        return ChainInvalid(0, "hash_link")
+    expected_prev = ZERO_HASH
+    for i, block in enumerate(chain):
+        if block.index != i or block.prev_hash != expected_prev:
+            return ChainInvalid(i, "hash_link")
+        if block.merkle_root != entries_root(block.entries):
+            return ChainInvalid(i, "merkle_mismatch")
+        if not all(acl.permits(e.role, e.action) for e in block.entries):
+            return ChainInvalid(i, "acl")
+        expected_prev = block.hash()
+        valid = set()
+        for vid, sig in block.signatures:
+            pub = validators.public_key(vid)
+            if pub is None or vid in valid:
+                continue
+            try:
+                pub.verify(sig, expected_prev)
+            except InvalidSignature:
+                continue
+            valid.add(vid)
+        if len(valid) < len(block.signatures):
+            return ChainInvalid(i, "signature")
+        if len(valid) < validators.quorum:
+            return ChainInvalid(i, "quorum")
+    return ChainValid()
+
+
+# The fan-out threshold the tests run with: `long_chain` holds five times as
+# many blocks, so a fault half-way down still leaves a pool's worth before it.
+TEST_FAN_OUT_MIN = 16
+
+
+@pytest.fixture(scope="module")
+def long_chain(setup4):
+    """80 blocks after genesis, built one append_block at a time."""
+    validators, keys, acl = setup4
+    chain = [make_genesis(validators, keys, acl)]
+    for entries, timestamp in batches(5 * TEST_FAN_OUT_MIN):
+        append_block(chain, entries, validators.ids()[0], validators, keys, acl, timestamp)
+    return chain
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A pool of two workers (even on one CPU) from TEST_FAN_OUT_MIN items on."""
+    monkeypatch.setattr(ledger, "FAN_OUT_MIN", TEST_FAN_OUT_MIN)
+    monkeypatch.setattr(ledger, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture(params=["pool", "one_cpu"])
+def path(request, monkeypatch, two_cpus):
+    """Force the fan-out's path: the pool, or in-process on one CPU."""
+    if request.param == "one_cpu":
+        monkeypatch.setattr(ledger, "_usable_cpus", lambda: 1)
+    return request.param
+
+
+@pytest.fixture
+def parent_votes(monkeypatch):
+    """Pids of the bft_commit calls made in this process; a pool child's calls
+    land in its own copy of the list."""
+    calls = []
+    real = ledger.bft_commit
+    monkeypatch.setattr(ledger, "bft_commit",
+                        lambda *a, **k: calls.append(os.getpid()) or real(*a, **k))
+    return calls
+
+
+def chain_bytes(chain):
+    return b"".join(b.serialize() for b in chain)
+
+
+def tampered(chain, index, fault):
+    """A copy of `chain` with block `index` given one kind of fault."""
+    block = chain[index]
+    if fault == "signature":
+        vid, sig = block.signatures[0]
+        bad = with_signatures(block, ((vid, sig[:-1] + bytes([sig[-1] ^ 1])),)
+                              + block.signatures[1:])
+    elif fault == "quorum":
+        bad = with_signatures(block, block.signatures[:2])
+    elif fault == "merkle_mismatch":
+        bad = Block(block.index, block.prev_hash, block.merkle_root,
+                    (entry(summary="rewritten"),) + block.entries[1:],
+                    block.proposer, block.signatures, block.timestamp)
+    else:  # hash_link
+        bad = Block(block.index, bytes(32), block.merkle_root, block.entries,
+                    block.proposer, block.signatures, block.timestamp)
+    return chain[:index] + [bad] + chain[index + 1:]
+
+
+class TestFanOut:
+    def test_append_blocks_matches_a_loop_of_append_block(self, setup4, long_chain, path,
+                                                          parent_votes):
+        validators, keys, acl = setup4
+        chain = long_chain[:1]
+        append_blocks(chain, batches(len(long_chain) - 1), validators.ids()[0],
+                      validators, keys, acl)
+        assert chain_bytes(chain) == chain_bytes(long_chain)
+        # The pool's children cast every vote; in-process, this process does.
+        assert len(parent_votes) == (0 if path == "pool" else len(long_chain) - 1)
+
+    def test_append_blocks_below_the_threshold_calls_append_block(self, setup4, long_chain,
+                                                                  monkeypatch, two_cpus):
+        validators, keys, acl = setup4
+        calls = []
+        real = ledger.append_block
+        monkeypatch.setattr(ledger, "append_block",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        chain = long_chain[:1]
+        n = ledger.FAN_OUT_MIN - 1
+        append_blocks(chain, batches(n), validators.ids()[0], validators, keys, acl)
+        assert len(calls) == n
+        assert chain_bytes(chain) == chain_bytes(long_chain[:n + 1])
+
+    @pytest.mark.parametrize("faults, expected", [
+        ((), ChainValid()),
+        (((10, "signature"), (30, "merkle_mismatch")), ChainInvalid(10, "signature")),
+        (((10, "merkle_mismatch"), (30, "signature")), ChainInvalid(10, "merkle_mismatch")),
+        (((70, "quorum"),), ChainInvalid(70, "quorum")),
+        (((20, "hash_link"), (5, "quorum")), ChainInvalid(5, "quorum")),
+        (((20, "hash_link"),), ChainInvalid(20, "hash_link")),
+    ])
+    def test_verify_chain_matches_a_block_by_block_walk(self, setup4, long_chain, path,
+                                                        faults, expected):
+        validators, _keys, acl = setup4
+        chain = long_chain
+        for index, fault in faults:
+            chain = tampered(chain, index, fault)
+        assert reference_verify(chain, validators, acl) == expected
+        assert verify_chain(chain, validators, acl) == expected
+
+    def test_an_early_verify_stop_leaves_no_child(self, setup4, long_chain, two_cpus):
+        validators, _keys, acl = setup4
+        chain = tampered(long_chain, 1, "signature")
+        assert verify_chain(chain, validators, acl) == ChainInvalid(1, "signature")
+        assert multiprocessing.active_children() == []
+
+    def test_an_abort_in_a_worker_raises_the_serial_error(self, setup4, long_chain,
+                                                          monkeypatch, two_cpus):
+        validators, keys, acl = setup4
+        victim = 3 * TEST_FAN_OUT_MIN + 3
+        real = ledger.bft_commit
+
+        def abort_one(validators, signing_keys, block, *rest):
+            if block.index == victim:
+                return Aborted("1 valid votes < quorum 3", 1, {})
+            return real(validators, signing_keys, block, *rest)
+
+        monkeypatch.setattr(ledger, "bft_commit", abort_one)
+        outcomes = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(ledger, "_usable_cpus", lambda: cpus)
+            chain = long_chain[:1]
+            with pytest.raises(LedgerError) as exc:
+                append_blocks(chain, batches(len(long_chain) - 1), validators.ids()[0],
+                              validators, keys, acl)
+            outcomes.append((str(exc.value), chain_bytes(chain)))
+            assert multiprocessing.active_children() == []
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == ("consensus aborted: 1 valid votes < quorum 3",
+                               chain_bytes(long_chain[:victim]))
+
+    def test_an_acl_breach_commits_the_blocks_before_it(self, setup4, long_chain, path):
+        validators, keys, acl = setup4
+        plan = batches(len(long_chain) - 1)
+        breach = 3 * TEST_FAN_OUT_MIN + 5
+        plan[breach] = ([entry(role=AgentRole.CODE_ANALYSIS,
+                               action=MitigationAction.REVOKE_CREDENTIALS)], None)
+        chain = long_chain[:1]
+        with pytest.raises(AclViolation, match="CodeAnalysis.*REVOKE_CREDENTIALS"):
+            append_blocks(chain, plan, validators.ids()[0], validators, keys, acl)
+        assert chain_bytes(chain) == chain_bytes(long_chain[:breach + 1])
