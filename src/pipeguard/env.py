@@ -277,7 +277,6 @@ class EnvState:
     rng_seed: int
     done: bool
     clock_minutes: float = 0.0
-    steps_in_stage: int = 0
     paused: bool = False
     # Scenarios scheduled for stages not yet reached (hidden from agents).
     pending_attacks: tuple[AttackScenario, ...] = ()
@@ -349,49 +348,25 @@ DEFAULT_DECOYS = [
 ]
 
 
-# Cap on step_minutes and each delays value: the ledger's u64 minute timestamps
-# then overflow only after ~9.2e12 decisions, past any run that fits in memory.
-MAX_MINUTES = 10**6
+# Simulated minutes each decision step takes, before its action's delay.
+STEP_MINUTES = 3.0
 
 
 @dataclass(frozen=True)
 class EnvConfig:
     reward: RewardParams = field(default_factory=RewardParams)
-    max_steps_per_stage: int = 1
-    step_minutes: float = 3.0
     decoy_probability: float = 0.25
     decoys_only_benign: bool = True
-    delays: dict = field(default_factory=dict)          # action name -> minutes
-    acceptance: dict = field(default_factory=dict)      # action name -> probability
 
     def __post_init__(self):
-        # Each per-action table is completed from its defaults, so it names every action.
-        for name, defaults in (("delays", DEFAULT_DELAYS), ("acceptance", DEFAULT_ACCEPTANCE)):
-            given = getattr(self, name)
-            check_fields(given, _PER_ACTION_FIELDS, name)
-            object.__setattr__(self, name, defaults | {k: float(v) for k, v in given.items()})
-        if self.max_steps_per_stage < 1:
-            raise ConfigError("max_steps_per_stage must be >= 1")
-        if not 0 <= self.step_minutes <= MAX_MINUTES:
-            raise ConfigError(f"step_minutes must be >= 0 and <= {MAX_MINUTES}")
         if not 0.0 <= self.decoy_probability <= 1.0:
             raise ConfigError("decoy_probability must be in [0, 1]")
-        for name, minutes in self.delays.items():
-            if not 0 <= minutes <= MAX_MINUTES:
-                raise ConfigError(f"delays {name} must be >= 0 and <= {MAX_MINUTES}")
-        for name, p in self.acceptance.items():
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"acceptance {name} must be in [0, 1]")
 
 
-_ENV_CONFIG_FIELDS = {
-    "reward": dict, "max_steps_per_stage": int, "step_minutes": float,
-    "decoy_probability": float, "decoys_only_benign": bool, "delays": dict, "acceptance": dict,
-}
+_ENV_CONFIG_FIELDS = {"reward": dict, "decoy_probability": float, "decoys_only_benign": bool}
 _REWARD_FIELDS = dict.fromkeys(RewardParams.__dataclass_fields__, float)
 # Each action's name, indexed by MitigationAction: cheaper per step than `.name`.
 _ACTION_NAMES = tuple(a.name for a in MitigationAction)
-_PER_ACTION_FIELDS = dict.fromkeys(_ACTION_NAMES, float)
 
 
 def env_config_from_dict(obj: dict) -> EnvConfig:
@@ -408,15 +383,10 @@ def attack_signal_kind(vuln_class: VulnerabilityClass, stage: PipelineStage) -> 
     return STAGE_KIND[stage]
 
 
-def developer_response(
-    action: MitigationAction,
-    run_seed: int,
-    step: int,
-    config: EnvConfig,
-) -> bool:
+def developer_response(action: MitigationAction, run_seed: int, step: int) -> bool:
     """Seeded pseudo-random developer acceptance draw for an action."""
     name = _ACTION_NAMES[action]
-    p = config.acceptance[name]
+    p = DEFAULT_ACCEPTANCE[name]
     if p >= 1.0:
         return True
     return unit_draw("dev", run_seed, step, name) < p
@@ -504,8 +474,8 @@ class PipelineEnv:
         if state.done:
             raise ContractViolation("step() called on a finished run")
 
-        accepted = developer_response(action, state.rng_seed, state.step, self.config)
-        delay_inc = self.config.delays[_ACTION_NAMES[action]]
+        accepted = developer_response(action, state.rng_seed, state.step)
+        delay_inc = DEFAULT_DELAYS[_ACTION_NAMES[action]]
         mitigated = tuple(a for a in state.active_attacks
                           if mitigates(action, a, state.stage, accepted))
         outcome = OutcomeFlags(
@@ -517,32 +487,25 @@ class PipelineEnv:
         )
         reward = compute_reward(outcome, self.config.reward)
 
-        # A run ends on a block or when the last stage runs out of steps; a
-        # finished run keeps its steps_in_stage, a live one counts on or, at
-        # a stage change, restarts from 0.
-        stage_exhausted = state.steps_in_stage + 1 >= self.config.max_steps_per_stage
-        done = action is MitigationAction.BLOCK_BUILD or (
-            state.stage is PipelineStage.DEPLOYMENT and stage_exhausted)
-        if done:
-            steps_in_stage = state.steps_in_stage
-        else:
-            steps_in_stage = 0 if stage_exhausted else state.steps_in_stage + 1
+        # Each stage is one decision: a run ends on a block or after the last
+        # stage, and otherwise enters the next stage.
+        done = (action is MitigationAction.BLOCK_BUILD
+                or state.stage is PipelineStage.DEPLOYMENT)
 
         fields = {
             **state.__dict__,
             "step": state.step + 1,
             "build_delay": state.build_delay + delay_inc,
-            "clock_minutes": state.clock_minutes + self.config.step_minutes + delay_inc,
+            "clock_minutes": state.clock_minutes + STEP_MINUTES + delay_inc,
             "paused": action is MitigationAction.PAUSE_BUILD,
             "done": done,
-            "steps_in_stage": steps_in_stage,
         }
         if mitigated:
             cleared = {a.id for a in mitigated}
             fields["active_attacks"] = tuple(a for a in state.active_attacks
                                              if a.id not in cleared)
             fields["signals"] = tuple(s for s in state.signals if s.origin_attack not in cleared)
-        if stage_exhausted and not done:
+        if not done:
             self._enter_stage(fields, _STAGES[state.stage + 1])
         # Skip the frozen __init__'s per-field __setattr__; EnvState has no __post_init__.
         nxt = object.__new__(EnvState)
@@ -555,7 +518,7 @@ class PipelineEnv:
             raise ContractViolation("cannot pause a finished run")
         if state.paused:
             raise ContractViolation("run is already paused")
-        cost = self.config.delays[MitigationAction.PAUSE_BUILD.name]
+        cost = DEFAULT_DELAYS[MitigationAction.PAUSE_BUILD.name]
         return replace(
             state,
             paused=True,

@@ -33,6 +33,7 @@ from .env import (
     MitigationAction,
     PipelineEnv,
     PipelineStage,
+    STEP_MINUTES,
     Transition,
     VulnerabilityClass,
     check_fields,
@@ -367,8 +368,7 @@ def episode_steps(decide: Callable[[EnvState, int], Decision],
 
 
 def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
-                    ep_seed: int, index: int, options: ExperimentOptions,
-                    arm: BaselineKind) -> EpisodeRecord:
+                    ep_seed: int, index: int, arm: BaselineKind) -> EpisodeRecord:
     predicted: set[str] = set()
     mitigations: list[Mitigation] = []
     interventions = 0
@@ -413,8 +413,7 @@ def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
         total_return=total_return,
         build_delay=final.build_delay,
         duration_minutes=final.clock_minutes + analysis_cost * len(steps),
-        undefended_minutes=(len(steps) * options.env_config.step_minutes
-                            if benign else 0.0),
+        undefended_minutes=len(steps) * STEP_MINUTES if benign else 0.0,
     )
 
 
@@ -422,15 +421,7 @@ def _episode_record(steps: list[Step], scenarios: list[AttackScenario],
 class LedgerArtifacts:
     chain: list
     validators: ledger_mod.ValidatorSet
-    signing_keys: dict
     acl: ledger_mod.AclPolicy
-
-
-def _init_ledger(seed: int) -> LedgerArtifacts:
-    validators, keys = ledger_mod.generate_validators(ledger_mod.DEFAULT_VALIDATORS, seed)
-    acl = ledger_mod.default_acl()
-    genesis = ledger_mod.make_genesis(validators, keys, acl)
-    return LedgerArtifacts([genesis], validators, keys, acl)
 
 
 def _ledger_entries(steps: list[Step], global_clock: float,
@@ -477,13 +468,16 @@ def _run(arm: BaselineKind, stack, latency: float, suite: list[AttackScenario],
     records: list[EpisodeRecord] = []
     artifacts: Optional[LedgerArtifacts] = None
     if arm is BaselineKind.PROPOSED and options.ledger_enabled:
-        artifacts = _init_ledger(seed)
+        validators, keys = ledger_mod.generate_validators(ledger_mod.DEFAULT_VALIDATORS, seed)
+        acl = ledger_mod.default_acl()
+        artifacts = LedgerArtifacts([ledger_mod.make_genesis(validators, keys, acl)],
+                                    validators, acl)
     batches = []  # one block's (entries, timestamp) per episode
     global_clock = 0.0
     for i in range(options.episodes):
         scenarios, ep_seed = _plan_episode(seed, i, suite, options.benign_fraction)
         steps = list(episode_steps(stack.decide, pipeline, scenarios, ep_seed))
-        record = _episode_record(steps, scenarios, ep_seed, i, options, arm)
+        record = _episode_record(steps, scenarios, ep_seed, i, arm)
         if artifacts is not None:
             batches.append((_ledger_entries(steps, global_clock, stack.detector),
                             int(global_clock + record.duration_minutes)))
@@ -491,7 +485,7 @@ def _run(arm: BaselineKind, stack, latency: float, suite: list[AttackScenario],
         records.append(record)
     if artifacts is not None:
         ledger_mod.append_blocks(artifacts.chain, batches, artifacts.validators.ids()[0],
-                                 artifacts.validators, artifacts.signing_keys, artifacts.acl)
+                                 artifacts.validators, keys, artifacts.acl)
     report = compute_metrics(records, arm, seed, digest, latency)
     return report, records, artifacts
 

@@ -459,11 +459,13 @@ def _fan_out(fn: Callable, items: Sequence) -> Iterator:
 
     The calls run in forked worker processes, one per FAN_OUT_MIN / 2 items
     up to the number of usable CPUs; in this process when that makes fewer
-    than two workers (fewer than FAN_OUT_MIN items, or one CPU) or the
-    platform cannot fork. The workers have exited when the generator ends,
-    is closed early or raises: on an early stop, chunks not yet started are
-    cancelled and those running finish, so no worker is killed mid-write.
-    Wrap it in contextlib.closing when the caller may stop early.
+    than two workers (fewer than FAN_OUT_MIN items, or one CPU), the
+    platform cannot fork, or the system refuses a worker or its pipes. The
+    workers have exited when the generator ends, is closed early or raises:
+    on an early stop, chunks not yet started are cancelled and those running
+    finish, so no worker is killed mid-write. A worker that dies mid-run
+    raises LedgerError. Wrap it in contextlib.closing when the caller may
+    stop early.
     """
     workers = min(_usable_cpus(), 2 * len(items) // FAN_OUT_MIN)
     if workers < 2 or not hasattr(os, "fork"):
@@ -473,14 +475,29 @@ def _fan_out(fn: Callable, items: Sequence) -> Iterator:
     # evaluation of under FAN_OUT_MIN episodes) loads none of their 25 modules.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     size = -(-len(items) // (workers * _CHUNKS_PER_WORKER))
     chunks = [slice(i, i + size) for i in range(0, len(items), size)]
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_set_fork_work, initargs=(fn, items))
+    before = set(multiprocessing.active_children())
     try:
-        for results in pool.map(_run_chunk, chunks):
-            yield from results
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   initializer=_set_fork_work, initargs=(fn, items))
+        # Forks every worker, before any chunk is queued to one.
+        results = pool.map(_run_chunk, chunks)
+    except OSError:
+        # A refused fork leaves the workers forked before it idle, and the
+        # pool, whose manager thread never started, cannot stop them.
+        for child in set(multiprocessing.active_children()) - before:
+            child.terminate()
+            child.join()
+        yield from map(fn, items)
+        return
+    try:
+        for chunk in results:
+            yield from chunk
+    except BrokenProcessPool as exc:
+        raise LedgerError(f"worker pool broke: {exc}") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -1,8 +1,9 @@
 import multiprocessing
+import os
 
 import pytest
 
-from pipeguard import evaluation, learning
+from pipeguard import evaluation, learning, ledger
 
 
 @pytest.fixture(autouse=True)
@@ -10,6 +11,19 @@ def no_child_outlives_a_test():
     """Worker pools (the ledger's vote fan-out) end within the call that starts them."""
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def dying_workers(monkeypatch):
+    """A ledger pool worker exits, unannounced, at its first vote."""
+    parent, real = os.getpid(), ledger.bft_commit
+
+    def vote(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(ledger, "bft_commit", vote)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import re
 import tempfile
 from pathlib import Path
@@ -151,6 +152,16 @@ class TestEvaluate:
             "--seed", "2"])
         assert verify.exit_code == 0
         assert "VALID" in verify.output
+
+    def test_a_worker_pool_that_breaks_is_one_line_exit_1(self, runner, tmp_path, policy_file,
+                                                          monkeypatch, dying_workers):
+        monkeypatch.setattr(ledger, "FAN_OUT_MIN", 16)
+        monkeypatch.setattr(ledger, "_usable_cpus", lambda: 2)
+        result = runner.invoke(main, [
+            "evaluate", "--arm", "Proposed", "--policy", policy_file,
+            "--episodes", "40", "--out", str(tmp_path / "broken")])
+        assert "worker pool broke" in assert_error_line(result, exit_code=1)
+        assert multiprocessing.active_children() == []
 
     def test_proposed_without_policy_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -389,13 +400,8 @@ def simulate_config(doc):
     return ["simulate", "--config", doc]
 
 
-def proposed_env(env):
-    """A one-episode Proposed evaluate whose policy always blocks the build,
-    so that the ledger's timestamps hold the block's step and delay."""
-    policy = policy_doc(300, 8, actions=[a.name for a in MitigationAction],
-                        params=[[0.0, 1.0] + [0.0] * 6] * 300)
-    return ["evaluate", "--arm", "Proposed", "--policy", policy, "--episodes", "1",
-            "--config", {"env": env}, "--out", OUT]
+def evaluate_config(doc):
+    return ["evaluate", "--arm", "Proposed", "--config", doc, "--out", OUT]
 
 
 def train_config(**train):
@@ -420,8 +426,9 @@ MALFORMED = [
                             "--out", OUT], "episodes must be an integer"),
     ("train-episodes-float", ["train", "--config", {"train": {"episodes": 1.5}},
                               "--out", OUT], "episodes must be an integer"),
+    # Stage length, step minutes and the per-action tables are constants in env.py.
     ("env-max-steps-str", simulate_config({"env": {"max_steps_per_stage": "2"}}),
-     "max_steps_per_stage must be an integer"),
+     "unknown environment config fields: ['max_steps_per_stage']"),
     ("evaluate-episodes-str", ["evaluate", "--arm", "RuleBased", "--config",
                                {"evaluate": {"episodes": "x"}}, "--out", OUT],
      "episodes must be an integer"),
@@ -429,17 +436,17 @@ MALFORMED = [
                              {"evaluate": {"ledger_enabled": "false"}}, "--out", OUT],
      "ledger_enabled must be true or false"),
     ("env-delays-name", simulate_config({"env": {"delays": {"BLOK_BUILD": 1}}}),
-     "unknown delays fields: ['BLOK_BUILD']"),
+     "unknown environment config fields: ['delays']"),
     ("env-decoy-probability", simulate_config({"env": {"decoy_probability": 7}}),
      "decoy_probability must be in [0, 1]"),
-    ("env-step-minutes-1e20", proposed_env({"step_minutes": 1e20}),
-     "step_minutes must be >= 0 and <= 1000000"),
-    ("env-step-minutes-1e308", proposed_env({"step_minutes": 1e308}),
-     "step_minutes must be >= 0 and <= 1000000"),
-    ("env-delays-1e308", proposed_env({"delays": {"BLOCK_BUILD": 1e308}}),
-     "delays BLOCK_BUILD must be >= 0 and <= 1000000"),
+    ("env-step-minutes-1e20", evaluate_config({"env": {"step_minutes": 1e20}}),
+     "unknown environment config fields: ['step_minutes']"),
+    ("env-step-minutes-1e308", evaluate_config({"env": {"step_minutes": 1e308}}),
+     "unknown environment config fields: ['step_minutes']"),
+    ("env-delays-1e308", evaluate_config({"env": {"delays": {"BLOCK_BUILD": 1e308}}}),
+     "unknown environment config fields: ['delays']"),
     ("env-acceptance", simulate_config({"env": {"acceptance": {"REQUEST_REVIEW": 3}}}),
-     "acceptance REQUEST_REVIEW must be in [0, 1]"),
+     "unknown environment config fields: ['acceptance']"),
     ("scenario-payload-str", ["simulate", "--scenarios", [
         {**SCENARIO, "payload": "abc", "syntactic_detectable": "no"}]],
      "payload must be a list"),
@@ -473,7 +480,7 @@ MALFORMED = [
      "report per_class Injection field f1 must be a finite number"),
     ("config-directory", simulate_config(DIRECTORY), "Is a directory"),
     ("config-not-utf8", simulate_config(b"\xff\xfe{}"), "can't decode"),
-    ("config-huge-int", simulate_config(b'{"env": {"max_steps_per_stage": ' + HUGE_INT + b"}}"),
+    ("config-huge-int", evaluate_config(b'{"evaluate": {"episodes": ' + HUGE_INT + b"}}"),
      "Exceeds the limit (4300 digits)"),
     ("scenarios-deep-list", ["simulate", "--scenarios", DEEP_LIST],
      "maximum recursion depth exceeded"),
@@ -538,12 +545,6 @@ def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, messag
     (lambda: TrainConfig(learning_rate=math.inf), ConfigError, "learning_rate must be > 0"),
     (lambda: EnvConfig(decoy_probability=7.0), ConfigError,
      "decoy_probability must be in [0, 1]"),
-    (lambda: EnvConfig(delays={"BLOCK_BUILD": -1}), ConfigError,
-     "delays BLOCK_BUILD must be >= 0 and <= 1000000"),
-    (lambda: EnvConfig(delays={"BLOK_BUILD": 9.0}), ConfigError,
-     "unknown delays fields: ['BLOK_BUILD']"),
-    (lambda: EnvConfig(acceptance={"request_review": 0.0}), ConfigError,
-     "unknown acceptance fields: ['request_review']"),
     (lambda: ExperimentOptions(benign_fraction=1.0), ConfigError,
      "benign_fraction must be in [0, 1)"),
     (lambda: ExperimentOptions(episodes=0), ConfigError, "episodes must be >= 1"),
@@ -554,8 +555,8 @@ def test_malformed_input_is_one_line_config_error(runner, tmp_path, args, messag
      ConfigError, "scenario s1: payload must be non-empty"),
     (lambda: Envelope(kind="bogus"), FrameError, "unknown kind 'bogus'"),
 ], ids=["train-learning-rate-nan", "train-learning-rate-inf", "env-decoy-probability",
-        "env-delays", "env-delays-name", "env-acceptance-name", "options-benign-fraction",
-        "options-episodes", "reward-beta", "scenario-payload", "envelope-kind"])
+        "options-benign-fraction", "options-episodes", "reward-beta", "scenario-payload",
+        "envelope-kind"])
 def test_values_built_in_code_are_checked(build, error, message):
     with pytest.raises(error) as exc:
         build()
@@ -588,19 +589,12 @@ _SCALARS = (st.none() | st.booleans() | st.integers(-2, 4)
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
                        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
                        max_leaves=6)
-# Integers stay small so that no run is long: max_steps_per_stage sets its length.
 _NUMBERS = st.integers(-1, 3) | st.floats(-0.5, 1.5) | st.sampled_from([math.nan])
-_ACTION_MAP = st.dictionaries(st.sampled_from(["BLOCK_BUILD", "REQUEST_REVIEW",
-                                               "BLOK_BUILD"]), _NUMBERS, max_size=2)
 _ENV_VALUES = {
     "reward": st.dictionaries(st.sampled_from(["alpha", "beta", "delta", "eta",
                                                "gamma"]), _NUMBERS, max_size=2),
-    "max_steps_per_stage": st.integers(-1, 3),
-    "step_minutes": _NUMBERS,
     "decoy_probability": _NUMBERS,
     "decoys_only_benign": st.booleans(),
-    "delays": _ACTION_MAP,
-    "acceptance": _ACTION_MAP,
 }
 
 

@@ -15,6 +15,7 @@ from pipeguard.env import (
     DEFAULT_ACCEPTANCE,
     DEFAULT_DELAYS,
     EnvConfig,
+    EnvState,
     MitigationAction,
     OutcomeFlags,
     PipelineEnv,
@@ -192,9 +193,11 @@ SCRIPTED_EPISODES = {
         [make_scenario(semantic_detectable=True),
          make_scenario(id="s2", stage=PipelineStage.BUILD)],
         11, [A.REQUEST_REVIEW, A.ALLOW_CONTINUE, A.BLOCK_BUILD]),
+    # One action per stage. The quarantine misses the injection, which echoes
+    # into the next stage; the guard PR, the pause and the revoke clear
+    # attacks; the closing config patch is a false positive the developer rejects.
     "pause-and-every-action": (
-        EnvConfig(max_steps_per_stage=2, decoys_only_benign=False,
-                  decoy_probability=0.9),
+        EnvConfig(decoys_only_benign=False, decoy_probability=0.9),
         [make_scenario(semantic_detectable=True),
          make_scenario(id="s2", vuln_class=VulnerabilityClass.INSECURE_DESERIALIZATION,
                        stage=PipelineStage.DEPENDENCY_RESOLUTION),
@@ -202,10 +205,8 @@ SCRIPTED_EPISODES = {
                        stage=PipelineStage.BUILD, semantic_detectable=True),
          make_scenario(id="s4", vuln_class=VulnerabilityClass.BROKEN_ACCESS_CONTROL,
                        stage=PipelineStage.ARTIFACT_PACKAGING)],
-        7, [A.PAUSE_BUILD, A.OPEN_GUARD_PULL_REQUEST, A.ALLOW_CONTINUE,
-            A.QUARANTINE_DEPENDENCY, A.PAUSE_BUILD, A.APPLY_CONFIG_PATCH,
-            A.REQUEST_REVIEW, A.REVOKE_CREDENTIALS, A.ALLOW_CONTINUE,
-            A.PAUSE_BUILD]),
+        7, [A.QUARANTINE_DEPENDENCY, A.OPEN_GUARD_PULL_REQUEST, A.PAUSE_BUILD,
+            A.REVOKE_CREDENTIALS, A.APPLY_CONFIG_PATCH]),
 }
 
 
@@ -215,13 +216,16 @@ class TestScriptedEpisodes:
     # built with one constructor call per step, then re-derived with the
     # removed terminal_outcome and effects fields cut from each line and
     # mitigated_ids=(...) replaced by attacked=<whether any scenario ran>.
+    # They were re-derived again when a stage became one decision: the code
+    # before that change ran each script (the pause script at one step per
+    # stage) and had "steps_in_stage=0, " cut from each line.
     DIGESTS = {
         "benign-exhausts-last-stage":
-            "0471a71d05c8aa563257fe5cea0cdc404f501f2e030190783ca021f379e86556",
+            "7f3bf59f1ec6b700091ebba2bec22d56dd38942c9284dd54bb63083534f9e7fd",
         "block-build":
-            "7200e792fba8c5605c17720977da1f1c650122a1c2c8f671f09920021e223dd1",
+            "155e45f36e531cb00504df7e64729e32391cdc341ed38e41ecdb2ca835e2e697",
         "pause-and-every-action":
-            "2b25396d5c4ff238f4da78209f8af04ec47cf8ee17a7f37d3d20ee80efd4f233",
+            "099ff592ca5bc8a0fa51881763c23a792de9d7b1164299bab945ecf50e240be0",
     }
 
     @pytest.mark.parametrize("name", sorted(SCRIPTED_EPISODES))
@@ -423,49 +427,40 @@ class TestPauseResumeRollback:
 class TestDeveloperModel:
     def test_acceptance_rates_close_to_configured(self):
         accepted = sum(
-            developer_response(MitigationAction.OPEN_GUARD_PULL_REQUEST, seed, 0, EnvConfig())
+            developer_response(MitigationAction.OPEN_GUARD_PULL_REQUEST, seed, 0)
             for seed in range(2000)
         )
         assert 0.75 < accepted / 2000 < 0.85
 
     def test_unconditional_actions_always_accepted(self):
         assert all(
-            developer_response(MitigationAction.BLOCK_BUILD, seed, 0, EnvConfig())
+            developer_response(MitigationAction.BLOCK_BUILD, seed, 0)
             for seed in range(50)
         )
 
 
 class TestConfig:
     @pytest.mark.parametrize("doc, message", [
-        ({"step_minutes": -1}, "step_minutes must be >= 0"),
+        ({"delays": {}, "acceptance": {}, "step_minutes": 3, "max_steps_per_stage": 1},
+         "unknown environment config fields: ['acceptance', 'delays', "
+         "'max_steps_per_stage', 'step_minutes']"),
         ({"decoy_probability": 1.5}, "decoy_probability must be in [0, 1]"),
-        ({"delays": {"PAUSE_BUILD": -0.5}}, "delays PAUSE_BUILD must be >= 0"),
-        ({"acceptance": {"REQUEST_REVIEW": -0.1}}, "acceptance REQUEST_REVIEW"),
-        ({"acceptance": {"request_review": 0.5}}, "unknown acceptance fields"),
         ({"reward": {"alpha": -1}}, "reward parameter alpha"),
-        ({"max_steps_per_stage": 0}, "max_steps_per_stage must be >= 1"),
     ])
     def test_out_of_range_values_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             env_config_from_dict(doc)
 
     def test_in_range_values_accepted(self):
-        cfg = env_config_from_dict({"step_minutes": 0, "decoy_probability": 1,
-                                    "delays": {"BLOCK_BUILD": 0},
-                                    "acceptance": {"REQUEST_REVIEW": 0.0}})
-        assert cfg.delays["BLOCK_BUILD"] == 0.0
-        assert cfg.acceptance["REQUEST_REVIEW"] == 0.0
+        cfg = env_config_from_dict({"decoy_probability": 1, "decoys_only_benign": False,
+                                    "reward": {"alpha": 0}})
+        assert cfg == EnvConfig(RewardParams(alpha=0.0), 1.0, False)
 
-    def test_delay_override(self):
-        cfg = EnvConfig(delays={"BLOCK_BUILD": 9.0})
-        assert cfg.delays["BLOCK_BUILD"] == 9.0
-        assert cfg.delays["ALLOW_CONTINUE"] == 0.0
+    def test_only_the_reward_and_decoys_are_settable(self):
+        assert [f.name for f in dataclasses.fields(EnvConfig)] == [
+            "reward", "decoy_probability", "decoys_only_benign"]
+        assert "steps_in_stage" not in EnvState.__dataclass_fields__
 
     def test_per_action_tables_name_every_action(self):
         names = [a.name for a in MitigationAction]
         assert list(DEFAULT_DELAYS) == list(DEFAULT_ACCEPTANCE) == names
-        cfg = EnvConfig(delays={"PAUSE_BUILD": 1}, acceptance={"BLOCK_BUILD": 0})
-        assert cfg.delays == {**DEFAULT_DELAYS, "PAUSE_BUILD": 1.0}
-        assert cfg.acceptance == {**DEFAULT_ACCEPTANCE, "BLOCK_BUILD": 0.0}
-        assert type(cfg.delays["PAUSE_BUILD"]) is float
-        assert EnvConfig(delays=dict(DEFAULT_DELAYS)) == EnvConfig()

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import multiprocessing
@@ -508,6 +509,23 @@ def parent_votes(monkeypatch):
     return calls
 
 
+@pytest.fixture(params=[1, 2], ids=["first-fork", "second-fork"])
+def refused_fork(request, monkeypatch, two_cpus):
+    """The pool's first or second fork fails as a fork refused for want of
+    processes does. Returns the workers the pool tried to start."""
+    real = multiprocessing.context.ForkProcess.start
+    started = []
+
+    def start(process):
+        started.append(process)
+        if len(started) == request.param:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        real(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    return started
+
+
 def chain_bytes(chain):
     return b"".join(b.serialize() for b in chain)
 
@@ -613,3 +631,37 @@ class TestFanOut:
         with pytest.raises(AclViolation, match="CodeAnalysis.*REVOKE_CREDENTIALS"):
             append_blocks(chain, plan, validators.ids()[0], validators, keys, acl)
         assert chain_bytes(chain) == chain_bytes(long_chain[:breach + 1])
+
+    def test_a_refused_fork_commits_in_process(self, setup4, long_chain, refused_fork,
+                                               parent_votes):
+        validators, keys, acl = setup4
+        chain = long_chain[:1]
+        append_blocks(chain, batches(len(long_chain) - 1), validators.ids()[0],
+                      validators, keys, acl)
+        assert refused_fork
+        assert chain_bytes(chain) == chain_bytes(long_chain)
+        assert len(parent_votes) == len(long_chain) - 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("faults, expected", [
+        ((), ChainValid()),
+        (((40, "signature"),), ChainInvalid(40, "signature")),
+    ])
+    def test_a_refused_fork_verifies_in_process(self, setup4, long_chain, refused_fork,
+                                                faults, expected):
+        validators, _keys, acl = setup4
+        chain = long_chain
+        for index, fault in faults:
+            chain = tampered(chain, index, fault)
+        assert reference_verify(chain, validators, acl) == expected
+        assert verify_chain(chain, validators, acl) == expected
+        assert refused_fork
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_ledger_error(self, setup4, long_chain, two_cpus,
+                                                    dying_workers):
+        validators, keys, acl = setup4
+        with pytest.raises(LedgerError, match="worker pool broke"):
+            append_blocks(long_chain[:1], batches(len(long_chain) - 1),
+                          validators.ids()[0], validators, keys, acl)
+        assert multiprocessing.active_children() == []
