@@ -109,41 +109,6 @@ def _pack_bytes(b: bytes) -> bytes:
     return struct.pack(">I", len(b)) + b
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError("truncated record")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("invalid UTF-8") from exc
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
     agent_id: str
@@ -177,27 +142,7 @@ class LedgerEntry:
 
     @staticmethod
     def deserialize(data: bytes) -> "LedgerEntry":
-        r = _Reader(data)
-        agent_id = r.string()
-        try:
-            role = AgentRole(r.string())
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-        digest = r.take(32)
-        summary = r.string()
-        try:
-            action = MitigationAction[r.string()]
-        except KeyError as exc:
-            raise DecodeError(f"unknown action {exc}") from exc
-        m, fp, acc = struct.unpack(">BBB", r.take(3))
-        if any(v not in (0, 1) for v in (m, fp, acc)):
-            raise DecodeError("boolean flag byte must be 0 or 1")
-        delay = r.f64()
-        ts = r.u64()
-        if not r.done():
-            raise DecodeError("trailing bytes after entry")
-        return LedgerEntry(agent_id, role, digest, summary, action,
-                           OutcomeFlags(bool(m), bool(fp), bool(acc), delay), ts)
+        return _decode_entry(data, 0, len(data))
 
 
 @dataclass(frozen=True)
@@ -234,21 +179,118 @@ class Block:
 
     @staticmethod
     def deserialize(data: bytes) -> "Block":
-        r = _Reader(data)
-        index = r.u64()
-        prev_hash = r.take(32)
-        root = r.take(32)
-        proposer = r.string()
-        ts = r.u64()
-        entries = tuple(LedgerEntry.deserialize(r.blob()) for _ in range(r.u32()))
-        sigs = tuple((r.string(), r.blob()) for _ in range(r.u32()))
-        if not r.done():
-            raise DecodeError("trailing bytes after block")
-        return Block(index, prev_hash, root, entries, proposer, sigs, ts)
+        return _decode_block(data, 0, len(data))
 
 
 def entries_root(entries: tuple[LedgerEntry, ...]) -> bytes:
     return merkle_root([e.serialize() for e in entries])
+
+
+# -- strict decoding -----------------------------------------------------------
+
+# One parser reads every record: it reads fields at offsets into a single
+# bytes object and checks each against the end of the record that holds it,
+# in encoding order, so the first fault in a record is the one reported. The
+# encoding is canonical (strict UTF-8, exact enum names, flag bytes of 0 or
+# 1, fixed-width numbers), so a record that parses is exactly the encoding
+# of its fields, and a decoded entry keeps its slice of the data as its
+# bytes instead of being encoded again.
+
+_LENGTH = struct.Struct(">I")
+_BLOCK_HEAD = struct.Struct(">Q32s32sI")   # index, prev_hash, merkle_root, proposer length
+_BLOCK_TAIL = struct.Struct(">QI")         # timestamp, entry count
+_ENTRY_TAIL = struct.Struct(">BBBdQ")      # outcome flags, build delay, timestamp
+_ROLES = {role.value.encode(): role for role in AgentRole}
+_ACTIONS = {action.name.encode(): action for action in MitigationAction}
+
+
+def _span(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """Offsets of the length-prefixed field at `pos`, which must end by `end`."""
+    start = pos + 4
+    if start <= end:
+        stop = start + _LENGTH.unpack_from(data, pos)[0]
+        if stop <= end:
+            return start, stop
+    raise DecodeError("truncated record")
+
+
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError("invalid UTF-8") from exc
+
+
+def _decode_entry(data: bytes, pos: int, end: int) -> LedgerEntry:
+    """The entry encoded as data[pos:end]."""
+    raw = data[pos:end]
+    start, pos = _span(data, pos, end)
+    agent_id = _text(data[start:pos])
+    start, pos = _span(data, pos, end)
+    role = _ROLES.get(data[start:pos])
+    if role is None:
+        raise DecodeError(f"{_text(data[start:pos])!r} is not a valid AgentRole")
+    digest = data[pos:pos + 32]
+    start, pos = _span(data, pos + 32, end)
+    summary = _text(data[start:pos])
+    start, pos = _span(data, pos, end)
+    action = _ACTIONS.get(data[start:pos])
+    if action is None:
+        raise DecodeError(f"unknown action {_text(data[start:pos])!r}")
+    if pos + _ENTRY_TAIL.size == end:
+        m, fp, acc, delay, timestamp = _ENTRY_TAIL.unpack_from(data, pos)
+        if m | fp | acc <= 1:
+            # Built field by field, with `raw` as its bytes: nothing is encoded.
+            entry = object.__new__(LedgerEntry)
+            put = object.__setattr__
+            put(entry, "agent_id", agent_id)
+            put(entry, "role", role)
+            put(entry, "signals_digest", digest)
+            put(entry, "reasoning_summary", summary)
+            put(entry, "action", action)
+            put(entry, "outcome", OutcomeFlags(m == 1, fp == 1, acc == 1, delay))
+            put(entry, "timestamp", timestamp)
+            put(entry, "_raw", raw)
+            return entry
+    # The tail is not 19 bytes with valid flags: name its first fault.
+    if pos + 3 <= end and max(data[pos:pos + 3]) > 1:
+        raise DecodeError("boolean flag byte must be 0 or 1")
+    if pos + _ENTRY_TAIL.size < end:
+        raise DecodeError("trailing bytes after entry")
+    raise DecodeError("truncated record")
+
+
+def _decode_block(data: bytes, pos: int, end: int) -> Block:
+    """The block encoded as data[pos:end]."""
+    if pos + _BLOCK_HEAD.size > end:
+        raise DecodeError("truncated record")
+    index, prev_hash, root, size = _BLOCK_HEAD.unpack_from(data, pos)
+    pos += _BLOCK_HEAD.size
+    if pos + size > end:
+        raise DecodeError("truncated record")
+    proposer = _text(data[pos:pos + size])
+    pos += size
+    if pos + _BLOCK_TAIL.size > end:
+        raise DecodeError("truncated record")
+    timestamp, count = _BLOCK_TAIL.unpack_from(data, pos)
+    pos += _BLOCK_TAIL.size
+    entries = []
+    for _ in range(count):
+        start, pos = _span(data, pos, end)
+        entries.append(_decode_entry(data, start, pos))
+    if pos + 4 > end:
+        raise DecodeError("truncated record")
+    (count,) = _LENGTH.unpack_from(data, pos)
+    pos += 4
+    signatures = []
+    for _ in range(count):
+        start, pos = _span(data, pos, end)
+        vid = _text(data[start:pos])
+        start, pos = _span(data, pos, end)
+        signatures.append((vid, data[start:pos]))
+    if pos != end:
+        raise DecodeError("trailing bytes after block")
+    return Block(index, prev_hash, root, tuple(entries), proposer, tuple(signatures), timestamp)
 
 
 # -- validators and consensus ----------------------------------------------------
@@ -630,10 +672,11 @@ class ChainInvalid:
     reason: str  # hash_link | merkle_mismatch | quorum | signature | acl | encoding
 
 
-def _vote_fault(validators: ValidatorSet, block: Block, digest: bytes) -> Optional[str]:
+def _vote_fault(validators: ValidatorSet, signatures: tuple[tuple[str, bytes], ...],
+                digest: bytes) -> Optional[str]:
     """The ChainInvalid reason a block's signatures earn over its `digest`, or None."""
-    valid = _valid_votes(validators, block.signatures, digest)
-    if len(valid) < len(block.signatures):
+    valid = _valid_votes(validators, signatures, digest)
+    if len(valid) < len(signatures):
         return "signature"
     if len(valid) < validators.quorum:
         return "quorum"
@@ -652,7 +695,7 @@ def verify_chain(chain: list[Block], validators: ValidatorSet,
     if not chain:
         return ChainInvalid(0, "hash_link")  # no genesis to link from
     content_fault: ChainValid | ChainInvalid = ChainValid()
-    checked: list[tuple[Block, bytes]] = []
+    checked: list[tuple] = []  # (signatures, digest) of each block before the fault
     expected_prev = ZERO_HASH
     for i, block in enumerate(chain):
         fault = "hash_link" if block.index != i else _block_fault(block, expected_prev, acl)
@@ -660,7 +703,7 @@ def verify_chain(chain: list[Block], validators: ValidatorSet,
             content_fault = ChainInvalid(i, fault)
             break
         expected_prev = block.hash()
-        checked.append((block, expected_prev))
+        checked.append((block.signatures, expected_prev))
 
     def vote_fault(item):
         return _vote_fault(validators, *item)
@@ -686,11 +729,13 @@ def write_chain(chain: list[Block], path: str) -> None:
 def read_chain(path: str) -> list[Block]:
     """Parse a ledger file; raises DecodeError with the failing block index."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
+        data = fh.read()
     blocks: list[Block] = []
-    while not r.done():
+    pos = 0
+    while pos < len(data):
         try:
-            blocks.append(Block.deserialize(r.blob()))
+            start, pos = _span(data, pos, len(data))
+            blocks.append(Block.deserialize(data[start:pos]))
         except DecodeError as exc:
             raise DecodeError(f"block {len(blocks)}: {exc}", len(blocks)) from exc
     return blocks

@@ -3,12 +3,15 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import struct
 
 import pytest
+from click.testing import CliRunner
 from cryptography.exceptions import InvalidSignature
 from hypothesis import given, settings, strategies as st
 
 from pipeguard import ledger
+from pipeguard.cli import main
 from pipeguard.env import AgentRole, ConfigError, MitigationAction, OutcomeFlags
 from pipeguard.ledger import (
     EQUIVOCATE,
@@ -159,6 +162,33 @@ class TestSerialization:
         assert LedgerEntry.deserialize(e.serialize()) == e
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        agent=st.text(max_size=12),
+        summary=st.text(max_size=30),
+        role=st.sampled_from(list(AgentRole)),
+        action=st.sampled_from(list(MitigationAction)),
+        ts=st.integers(min_value=0, max_value=2**64 - 1),
+        delay=st.sampled_from([-0.0, float("inf"), float("-inf")])
+        | st.integers(min_value=1, max_value=2**52 - 1).map(
+            lambda payload: struct.unpack(">d", struct.pack(">Q", 0x7FF0 << 48 | payload))[0])
+        | st.floats(),
+        flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    )
+    def test_decoding_is_canonical(self, agent, summary, role, action, ts, delay, flags):
+        # A decoded entry keeps its bytes, which is sound only because its
+        # fields, encoded again, give exactly those bytes.
+        raw = LedgerEntry(agent, role, bytes(32), summary, action,
+                          OutcomeFlags(*flags, delay), ts).serialize()
+        decoded = LedgerEntry.deserialize(raw)
+        assert decoded.serialize() == raw
+        assert LedgerEntry(decoded.agent_id, decoded.role, decoded.signals_digest,
+                           decoded.reasoning_summary, decoded.action, decoded.outcome,
+                           decoded.timestamp).serialize() == raw
+        block = Block(1, bytes(32), bytes(32), (decoded, decoded), agent, (("v", b"s"),), ts)
+        assert Block.deserialize(block.serialize()).serialize() == block.serialize()
+
+
 class TestConsensus:
     def test_all_honest_commits(self, setup4):
         validators, keys, acl = setup4
@@ -262,8 +292,13 @@ class TestChain:
         assert summaries() == ["summary-0", "summary-1", "summary-2"]
         block = append_block(chain, entries, validators.ids()[0], validators,
                              keys, acl)
-        write_chain(chain, str(tmp_path / "chain.bin"))
+        path = str(tmp_path / "chain.bin")
+        write_chain(chain, path)
         assert isinstance(verify_chain(chain, validators, acl), ChainValid)
+        # Decoded entries keep their slice of the file as their bytes.
+        assert [e.serialize() for e in read_chain(path)[1].entries] == \
+            [e.serialize() for e in entries]
+        assert isinstance(verify_chain_file(path, validators, acl), ChainValid)
         assert summaries() == ["summary-0", "summary-1", "summary-2"]
         assert [vid for vid, _ in block.signatures] == validators.ids()
 
@@ -372,6 +407,89 @@ class TestChain:
         with pytest.raises(DecodeError, match="^block 3: ") as exc:
             read_chain(str(path))
         assert exc.value.block_index == 3
+
+
+def chain_file(records):
+    """Chain file bytes holding each block record behind its length prefix."""
+    return b"".join(struct.pack(">I", len(r)) + r for r in records)
+
+
+def corrupted(records, case):
+    """`records` as a chain file, with block 1's record damaged as `case` names.
+
+    Block 1 holds one entry by "agent-xy" under CICDMonitoring with action
+    BLOCK_BUILD, whose three flag bytes follow the action's name."""
+    genesis, raw = records
+
+    def swap(old, new):
+        assert raw.count(old) == 1
+        return raw.replace(old, new)
+
+    if case == "truncated length prefix":
+        return chain_file(records) + b"\x00\x00"
+    if case == "truncated record":
+        return chain_file(records)[:-5]
+    if case == "invalid UTF-8":
+        raw = swap(b"agent-xy", b"agent-\xff\xfe")
+    elif case == "unknown role":
+        raw = swap(b"CICDMonitoring", b"CICDMonitorinG")
+    elif case == "unknown action":
+        raw = swap(b"BLOCK_BUILD", b"BLOCK_BUILT")
+    elif case == "flag byte of 2":
+        flags = raw.index(b"BLOCK_BUILD") + len(b"BLOCK_BUILD")
+        raw = raw[:flags] + b"\x02" + raw[flags + 1:]
+    elif case == "trailing bytes after entry":
+        body = entry(agent="agent-xy").serialize()
+        raw = swap(struct.pack(">I", len(body)) + body,
+                   struct.pack(">I", len(body) + 1) + body + b"\x00")
+    elif case == "trailing bytes after block":
+        raw += b"\x00"
+    return chain_file([genesis, raw])
+
+
+DECODE_ERRORS = [
+    ("truncated length prefix", 2, "truncated record"),
+    ("truncated record", 1, "truncated record"),
+    ("invalid UTF-8", 1, "invalid UTF-8"),
+    ("unknown role", 1, "'CICDMonitorinG' is not a valid AgentRole"),
+    ("unknown action", 1, "unknown action 'BLOCK_BUILT'"),
+    ("flag byte of 2", 1, "boolean flag byte must be 0 or 1"),
+    ("trailing bytes after entry", 1, "trailing bytes after entry"),
+    ("trailing bytes after block", 1, "trailing bytes after block"),
+]
+
+
+class TestDecodeErrors:
+    """Each way a chain file can fail to decode, and how it is reported."""
+
+    @pytest.fixture(scope="class")
+    def records(self, setup4):
+        validators, keys, acl = setup4
+        chain = [make_genesis(validators, keys, acl)]
+        append_block(chain, [entry(agent="agent-xy")], validators.ids()[0],
+                     validators, keys, acl)
+        return [b.serialize() for b in chain]
+
+    @pytest.mark.parametrize("case, index, message", DECODE_ERRORS,
+                             ids=[case for case, _, _ in DECODE_ERRORS])
+    def test_decode_error_names_its_block(self, setup4, records, tmp_path, case, index,
+                                          message):
+        validators, _keys, acl = setup4
+        path = tmp_path / "chain.bin"
+        path.write_bytes(corrupted(records, case))
+        with pytest.raises(DecodeError) as exc:
+            read_chain(str(path))
+        assert str(exc.value) == f"block {index}: {message}"
+        assert exc.value.block_index == index
+        assert verify_chain_file(str(path), validators, acl) == ChainInvalid(index, "encoding")
+        result = CliRunner().invoke(main, ["ledger", "show", "--chain", str(path)])
+        assert result.exit_code == 1
+        assert result.output == f"error: block {index}: {message}\n"
+
+    def test_the_intact_file_decodes(self, records, tmp_path):
+        path = tmp_path / "chain.bin"
+        path.write_bytes(chain_file(records))
+        assert [b.serialize() for b in read_chain(str(path))] == records
 
 
 class TestAcl:
@@ -549,6 +667,51 @@ def tampered(chain, index, fault):
     return chain[:index] + [bad] + chain[index + 1:]
 
 
+def object_walk_verdict(path, validators, acl):
+    """verify_chain_file as read_chain followed by the block-by-block walk."""
+    try:
+        chain = read_chain(path)
+    except DecodeError as exc:
+        return ChainInvalid(exc.block_index, "encoding")
+    return reference_verify(chain, validators, acl)
+
+
+class TestFileVerdicts:
+    def test_every_byte_flipped_matches_the_object_walk(self, setup4, tmp_path):
+        validators, keys, acl = setup4
+        chain = [make_genesis(validators, keys, acl)]
+        append_block(chain, [entry(ts=1), entry(role=AgentRole.ACCESS_CONTROL,
+                                                action=MitigationAction.REVOKE_CREDENTIALS,
+                                                ts=2, summary="Säubern")],
+                     validators.ids()[0], validators, keys, acl)
+        data = chain_file([b.serialize() for b in chain])
+        path = tmp_path / "chain.bin"
+        verdicts = set()
+        for i in range(len(data)):
+            path.write_bytes(data[:i] + bytes([data[i] ^ 1 << i % 8]) + data[i + 1:])
+            verdict = verify_chain_file(str(path), validators, acl)
+            assert verdict == object_walk_verdict(str(path), validators, acl), i
+            verdicts.add(verdict.reason)
+        assert verdicts == {"encoding", "hash_link", "merkle_mismatch", "signature"}
+
+    def test_an_empty_file_has_no_genesis(self, setup4, tmp_path):
+        validators, _keys, acl = setup4
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        assert verify_chain_file(str(path), validators, acl) == ChainInvalid(0, "hash_link")
+
+
+# Faults given to `long_chain`, and the verdict a block-by-block walk gives.
+VERIFY_FAULTS = [
+    ((), ChainValid()),
+    (((10, "signature"), (30, "merkle_mismatch")), ChainInvalid(10, "signature")),
+    (((10, "merkle_mismatch"), (30, "signature")), ChainInvalid(10, "merkle_mismatch")),
+    (((70, "quorum"),), ChainInvalid(70, "quorum")),
+    (((20, "hash_link"), (5, "quorum")), ChainInvalid(5, "quorum")),
+    (((20, "hash_link"),), ChainInvalid(20, "hash_link")),
+]
+
+
 class TestFanOut:
     def test_append_blocks_matches_a_loop_of_append_block(self, setup4, long_chain, path,
                                                           parent_votes):
@@ -573,14 +736,7 @@ class TestFanOut:
         assert len(calls) == n
         assert chain_bytes(chain) == chain_bytes(long_chain[:n + 1])
 
-    @pytest.mark.parametrize("faults, expected", [
-        ((), ChainValid()),
-        (((10, "signature"), (30, "merkle_mismatch")), ChainInvalid(10, "signature")),
-        (((10, "merkle_mismatch"), (30, "signature")), ChainInvalid(10, "merkle_mismatch")),
-        (((70, "quorum"),), ChainInvalid(70, "quorum")),
-        (((20, "hash_link"), (5, "quorum")), ChainInvalid(5, "quorum")),
-        (((20, "hash_link"),), ChainInvalid(20, "hash_link")),
-    ])
+    @pytest.mark.parametrize("faults, expected", VERIFY_FAULTS)
     def test_verify_chain_matches_a_block_by_block_walk(self, setup4, long_chain, path,
                                                         faults, expected):
         validators, _keys, acl = setup4
@@ -590,10 +746,30 @@ class TestFanOut:
         assert reference_verify(chain, validators, acl) == expected
         assert verify_chain(chain, validators, acl) == expected
 
+    @pytest.mark.parametrize("faults, expected", VERIFY_FAULTS)
+    def test_verify_chain_file_matches_verify_chain(self, setup4, long_chain, two_cpus,
+                                                    tmp_path, faults, expected):
+        validators, _keys, acl = setup4
+        chain = long_chain
+        for index, fault in faults:
+            chain = tampered(chain, index, fault)
+        path = str(tmp_path / "chain.bin")
+        write_chain(chain, path)
+        assert verify_chain_file(path, validators, acl) == \
+            verify_chain(chain, validators, acl) == expected
+
     def test_an_early_verify_stop_leaves_no_child(self, setup4, long_chain, two_cpus):
         validators, _keys, acl = setup4
         chain = tampered(long_chain, 1, "signature")
         assert verify_chain(chain, validators, acl) == ChainInvalid(1, "signature")
+        assert multiprocessing.active_children() == []
+
+    def test_an_early_file_verify_stop_leaves_no_child(self, setup4, long_chain, two_cpus,
+                                                       tmp_path):
+        validators, _keys, acl = setup4
+        path = str(tmp_path / "chain.bin")
+        write_chain(tampered(long_chain, 1, "signature"), path)
+        assert verify_chain_file(path, validators, acl) == ChainInvalid(1, "signature")
         assert multiprocessing.active_children() == []
 
     def test_an_abort_in_a_worker_raises_the_serial_error(self, setup4, long_chain,
