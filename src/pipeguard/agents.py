@@ -10,11 +10,9 @@ agents once, in pipeline order, so every class is observable; a run's
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional, Sequence
 
 from .env import (
@@ -25,7 +23,6 @@ from .env import (
     ObservationSignal,
     PipelineStage,
     VulnerabilityClass,
-    check_fields,
     observe,
 )
 
@@ -65,32 +62,47 @@ BENIGN_ASSESSMENT = Assessment(
 )
 
 
-@dataclass(frozen=True)
-class Rule:
-    role: AgentRole
-    token: str
-    vuln_class: VulnerabilityClass
-    confidence: float
-
-
-_ROLE_NAMES = {role.value for role in AgentRole}
-_CLASS_NAMES = {vc.value for vc in VulnerabilityClass}
-_RULE_FIELDS = {"role": _ROLE_NAMES, "token": str, "class": _CLASS_NAMES, "confidence": float}
-
-
-def rules_from_list(items: list[dict]) -> list[Rule]:
-    for obj in items:
-        check_fields(obj, _RULE_FIELDS, "rule", required=_RULE_FIELDS)
-    return [Rule(role=AgentRole(obj["role"]), token=obj["token"],
-                 vuln_class=VulnerabilityClass(obj["class"]), confidence=obj["confidence"])
-            for obj in items]
-
-
-@functools.cache
-def default_rules() -> tuple[Rule, ...]:
-    """The packaged rule table, parsed once per process."""
-    text = resources.files("pipeguard.data").joinpath("rules_default.json").read_text()
-    return tuple(rules_from_list(json.loads(text)))
+# Each role's detection rules, (token, class, confidence), in scan order, which
+# orders findings: the fixed response's pick on ties and the noisy-OR's float
+# products depend on it. Strong (>= 0.5) rows come first; the weak (0.25) rows
+# are the tokens of correlation-only payloads and of env's echoes and decoys.
+RULES = {
+    AgentRole.CODE_ANALYSIS: (
+        ("exec_untrusted_input", VulnerabilityClass.INJECTION, 0.9),
+        ("shell_metachar_concat", VulnerabilityClass.INJECTION, 0.85),
+        ("pickle_loads_untrusted", VulnerabilityClass.INSECURE_DESERIALIZATION, 0.9),
+        ("yaml_unsafe_load", VulnerabilityClass.INSECURE_DESERIALIZATION, 0.85),
+        ("obfuscated_string_concat", VulnerabilityClass.INJECTION, 0.25),
+        ("dynamic_attr_loader", VulnerabilityClass.INSECURE_DESERIALIZATION, 0.25),
+    ),
+    AgentRole.DEPENDENCY_INTELLIGENCE: (
+        ("typosquat_pkg", VulnerabilityClass.INJECTION, 0.85),
+        ("postinstall_curl_bash", VulnerabilityClass.INJECTION, 0.9),
+        ("gadget_chain_dep", VulnerabilityClass.INSECURE_DESERIALIZATION, 0.85),
+        ("version_pin_drift", VulnerabilityClass.INJECTION, 0.25),
+        ("nested_object_graph", VulnerabilityClass.INSECURE_DESERIALIZATION, 0.25),
+    ),
+    AgentRole.CICD_MONITORING: (
+        ("curl_pipe_sh_in_ci", VulnerabilityClass.INJECTION, 0.85),
+        ("deserialize_artifact_blob", VulnerabilityClass.INSECURE_DESERIALIZATION, 0.8),
+        ("unexpected_build_subprocess", VulnerabilityClass.INJECTION, 0.25),
+        ("artifact_size_anomaly", VulnerabilityClass.INSECURE_DESERIALIZATION, 0.25),
+    ),
+    AgentRole.ACCESS_CONTROL: (
+        ("wildcard_admin", VulnerabilityClass.BROKEN_ACCESS_CONTROL, 0.9),
+        ("secret_in_plaintext", VulnerabilityClass.BROKEN_ACCESS_CONTROL, 0.85),
+        ("token_scope_star", VulnerabilityClass.BROKEN_ACCESS_CONTROL, 0.8),
+        ("unused_privilege_grant", VulnerabilityClass.BROKEN_ACCESS_CONTROL, 0.25),
+        ("offhours_token_use", VulnerabilityClass.BROKEN_ACCESS_CONTROL, 0.25),
+    ),
+    AgentRole.CONFIGURATION_AUDIT: (
+        ("privileged_container_true", VulnerabilityClass.MISCONFIGURATION, 0.9),
+        ("public_s3_acl", VulnerabilityClass.MISCONFIGURATION, 0.85),
+        ("debug_endpoint_exposed", VulnerabilityClass.MISCONFIGURATION, 0.8),
+        ("implicit_default_config", VulnerabilityClass.MISCONFIGURATION, 0.25),
+        ("env_override_drift", VulnerabilityClass.MISCONFIGURATION, 0.25),
+    ),
+}
 
 
 def analyze(role: AgentRole, signals: list[ObservationSignal]) -> list[Finding]:
@@ -101,17 +113,15 @@ def analyze(role: AgentRole, signals: list[ObservationSignal]) -> list[Finding]:
                 f"{role.value} agent received a {sig.kind.value} signal"
             )
     findings = []
-    for rule in default_rules():
-        if rule.role is not role:
-            continue
+    for token, vuln_class, confidence in RULES[role]:
         for sig in signals:
-            if rule.token in sig.content.split():
+            if token in sig.content.split():
                 findings.append(Finding(
                     role=role,
-                    hypothesis=rule.vuln_class,
+                    hypothesis=vuln_class,
                     stage=sig.stage,
-                    confidence=rule.confidence,
-                    evidence=(rule.token,),
+                    confidence=confidence,
+                    evidence=(token,),
                 ))
     return findings
 

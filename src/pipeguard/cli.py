@@ -220,8 +220,8 @@ def evaluate(arm, suite_path, policy_path, episodes, disable_csv, config_path,
     _write_json(out / "records.json", [r.to_dict() for r in records])
     if artifacts is not None:
         ledger_mod.write_chain(artifacts.chain, str(out / "ledger.bin"))
-        verdict = ledger_mod.verify_chain(
-            artifacts.chain, artifacts.validators, artifacts.acl)
+        verdict = ledger_mod.verify_chain_file(
+            str(out / "ledger.bin"), artifacts.validators, artifacts.acl)
         if isinstance(verdict, ledger_mod.ChainInvalid):
             _fail(EXIT_VERIFY,
                   f"ledger verification failed: block {verdict.first_bad_index} "

@@ -270,7 +270,6 @@ def compute_reward(outcome: OutcomeFlags, params: RewardParams) -> float:
 class EnvState:
     run_id: str
     stage: PipelineStage
-    step: int
     active_attacks: tuple[AttackScenario, ...]
     signals: tuple[ObservationSignal, ...]
     build_delay: float
@@ -316,19 +315,18 @@ DEFAULT_DELAYS = {
 }
 
 # Weak behavioral traces an ongoing attack leaves in the next stage,
-# keyed by class then by the echo signal's kind.
+# keyed by class then by the echo signal's kind. An echo enters a stage after
+# SourceManagement, so it is never a commit diff.
 DEFAULT_ECHO_TOKENS = {
     VulnerabilityClass.INJECTION: {
         SignalKind.SBOM_ENTRY: "version_pin_drift",
         SignalKind.PIPELINE_LOG: "unexpected_build_subprocess",
         SignalKind.CONFIG_MANIFEST: "unexpected_build_subprocess",
-        SignalKind.COMMIT_DIFF: "obfuscated_string_concat",
     },
     VulnerabilityClass.INSECURE_DESERIALIZATION: {
         SignalKind.SBOM_ENTRY: "nested_object_graph",
         SignalKind.PIPELINE_LOG: "artifact_size_anomaly",
         SignalKind.CONFIG_MANIFEST: "artifact_size_anomaly",
-        SignalKind.COMMIT_DIFF: "dynamic_attr_loader",
     },
     VulnerabilityClass.BROKEN_ACCESS_CONTROL: {
         SignalKind.PERMISSION_RECORD: "offhours_token_use",
@@ -383,13 +381,14 @@ def attack_signal_kind(vuln_class: VulnerabilityClass, stage: PipelineStage) -> 
     return STAGE_KIND[stage]
 
 
-def developer_response(action: MitigationAction, run_seed: int, step: int) -> bool:
-    """Seeded pseudo-random developer acceptance draw for an action."""
+def developer_response(action: MitigationAction, run_seed: int, stage: int) -> bool:
+    """Seeded pseudo-random developer acceptance draw for an action taken at
+    the stage with index `stage` (each stage is one decision)."""
     name = _ACTION_NAMES[action]
     p = DEFAULT_ACCEPTANCE[name]
     if p >= 1.0:
         return True
-    return unit_draw("dev", run_seed, step, name) < p
+    return unit_draw("dev", run_seed, stage, name) < p
 
 
 def observe(state: EnvState, role: AgentRole) -> list[ObservationSignal]:
@@ -455,7 +454,6 @@ class PipelineEnv:
         fields = dict(
             run_id=run_id,
             stage=PipelineStage.SOURCE_MANAGEMENT,
-            step=0,
             active_attacks=(),
             signals=(),
             build_delay=0.0,
@@ -474,7 +472,7 @@ class PipelineEnv:
         if state.done:
             raise ContractViolation("step() called on a finished run")
 
-        accepted = developer_response(action, state.rng_seed, state.step)
+        accepted = developer_response(action, state.rng_seed, int(state.stage))
         delay_inc = DEFAULT_DELAYS[_ACTION_NAMES[action]]
         mitigated = tuple(a for a in state.active_attacks
                           if mitigates(action, a, state.stage, accepted))
@@ -494,7 +492,6 @@ class PipelineEnv:
 
         fields = {
             **state.__dict__,
-            "step": state.step + 1,
             "build_delay": state.build_delay + delay_inc,
             "clock_minutes": state.clock_minutes + STEP_MINUTES + delay_inc,
             "paused": action is MitigationAction.PAUSE_BUILD,

@@ -6,30 +6,32 @@ from hypothesis import given, strategies as st
 from pipeguard import agents
 from pipeguard.agents import (
     BENIGN_ASSESSMENT,
+    RULES,
     Assessment,
     Detector,
     Finding,
     RuleBasedReasoner,
     analyze,
     cross_stage_boost,
-    default_rules,
     dispatch,
     noisy_or,
-    rules_from_list,
 )
 from pipeguard.env import (
     AgentRole,
-    ConfigError,
     ContractViolation,
+    DEFAULT_DECOYS,
+    DEFAULT_ECHO_TOKENS,
     EnvConfig,
+    KIND_TO_ROLE,
     MitigationAction,
     ObservationSignal,
     PipelineEnv,
     PipelineStage,
     SignalKind,
     VulnerabilityClass,
+    attack_signal_kind,
 )
-from pipeguard.evaluation import calibration_suite
+from pipeguard.evaluation import STRONG_RULE_THRESHOLD, calibration_suite
 
 
 def sig(content, kind=SignalKind.COMMIT_DIFF, stage=PipelineStage.SOURCE_MANAGEMENT):
@@ -60,27 +62,34 @@ class TestAgents:
                       [sig("exec_untrusted_input exec_untrusted_input")])
         assert len(out) == 1
 
-    def test_unknown_rule_field_rejected(self):
-        with pytest.raises(ConfigError):
-            rules_from_list([{"role": "CodeAnalysis", "token": "x",
-                              "class": "Injection", "confidence": 0.5,
-                              "priority": 1}])
-
-    @pytest.mark.parametrize("rule", [
-        {"role": "CodeAnalysis", "token": "x", "class": "Injection"},
-        {"role": "Auditor", "token": "x", "class": "Injection", "confidence": 0.5},
-        {"role": "CodeAnalysis", "token": 7, "class": "Injection", "confidence": 0.5},
-    ])
-    def test_malformed_rule_rejected(self, rule):
-        with pytest.raises(ConfigError):
-            rules_from_list([rule])
-
     def test_every_role_has_default_rules(self):
-        rules = default_rules()
-        roles = {r.role for r in rules}
-        assert roles == set(AgentRole)
-        # Parsed once per process, into a table no caller can change.
-        assert default_rules() is rules and isinstance(rules, tuple)
+        assert list(RULES) == list(AgentRole)
+        for rules in RULES.values():
+            assert isinstance(rules, tuple)
+            assert any(c >= STRONG_RULE_THRESHOLD for _, _, c in rules)
+
+    def test_env_tokens_are_rules_of_the_role_that_sees_them(self):
+        def rule(kind, token):
+            by_token = {t: (vc, c) for t, vc, c in RULES[KIND_TO_ROLE[kind]]}
+            assert token in by_token, (kind, token)
+            return by_token[token]
+
+        for s in calibration_suite():
+            kind = attack_signal_kind(s.vuln_class, s.stage)
+            for token in s.payload:
+                vuln_class, confidence = rule(kind, token)
+                assert vuln_class is s.vuln_class, (s.id, token)
+                assert (confidence >= STRONG_RULE_THRESHOLD) is s.syntactic_detectable, \
+                    (s.id, token)
+            if s.semantic_detectable:
+                kind = attack_signal_kind(s.vuln_class, PipelineStage(s.stage + 1))
+                token = DEFAULT_ECHO_TOKENS[s.vuln_class].get(kind)
+                assert token is not None, s.id
+                vuln_class, confidence = rule(kind, token)
+                assert vuln_class is s.vuln_class, (s.id, token)
+                assert confidence < STRONG_RULE_THRESHOLD, (s.id, token)
+        for kind, token in DEFAULT_DECOYS:
+            assert rule(kind, token)[1] < STRONG_RULE_THRESHOLD, token
 
     def test_finding_contract(self):
         with pytest.raises(ContractViolation):
@@ -230,9 +239,9 @@ class TestDetector:
 
         state = PipelineEnv().reset([], 11)
         state = replace(state, signals=state.signals + (sig("exec_untrusted_input"),))
-        # Same observation: other step and clock, origin labels the agents
-        # never see.
-        twin = replace(state, step=state.step + 1, clock_minutes=9.0, signals=tuple(
+        # Same observation: other clock and build delay, origin labels the
+        # agents never see.
+        twin = replace(state, build_delay=2.0, clock_minutes=9.0, signals=tuple(
             replace(s, origin_attack="atk") for s in state.signals))
         first, second = Detector(), Detector()
         trace = first.assess(state)

@@ -163,6 +163,27 @@ class TestEvaluate:
         assert "worker pool broke" in assert_error_line(result, exit_code=1)
         assert multiprocessing.active_children() == []
 
+    def test_a_ledger_file_unlike_the_chain_is_one_line_exit_1(self, runner, tmp_path,
+                                                                policy_file, monkeypatch):
+        # evaluate checks the file it wrote, not the chain it holds in memory:
+        # one flipped bit in the last block's last signature fails it.
+        write_chain = ledger.write_chain
+
+        def write_then_flip(chain, path):
+            write_chain(chain, path)
+            raw = bytearray(Path(path).read_bytes())
+            raw[-1] ^= 0x01
+            Path(path).write_bytes(bytes(raw))
+        monkeypatch.setattr(ledger, "write_chain", write_then_flip)
+        out = tmp_path / "prop"
+        result = runner.invoke(main, [
+            "evaluate", "--arm", "Proposed", "--policy", policy_file,
+            "--episodes", "15", "--seed", "2", "--out", str(out)])
+        line = assert_error_line(result, exit_code=1)
+        blocks = len(ledger.read_chain(str(out / "ledger.bin")))
+        assert line == (f"error: ledger verification failed: block {blocks - 1} "
+                        f"(signature)")
+
     def test_proposed_without_policy_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "evaluate", "--arm", "Proposed", "--episodes", "5",

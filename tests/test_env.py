@@ -218,14 +218,16 @@ class TestScriptedEpisodes:
     # mitigated_ids=(...) replaced by attacked=<whether any scenario ran>.
     # They were re-derived again when a stage became one decision: the code
     # before that change ran each script (the pause script at one step per
-    # stage) and had "steps_in_stage=0, " cut from each line.
+    # stage) and had "steps_in_stage=0, " cut from each line. When the step
+    # counter went, the code before that change ran each script and had
+    # "step=N, " cut from each line.
     DIGESTS = {
         "benign-exhausts-last-stage":
-            "7f3bf59f1ec6b700091ebba2bec22d56dd38942c9284dd54bb63083534f9e7fd",
+            "baf798ba446c4075b14ba6bd2c265ad836ac6e787a3f4be76d0a188629e959e9",
         "block-build":
-            "155e45f36e531cb00504df7e64729e32391cdc341ed38e41ecdb2ca835e2e697",
+            "9b177c3f26731809ea3ba6fad050cdeaaad3018163576f1f7af6ab65e7d54529",
         "pause-and-every-action":
-            "099ff592ca5bc8a0fa51881763c23a792de9d7b1164299bab945ecf50e240be0",
+            "60f74cf2d6878b3446934f619eef5a93149b8837e1725d8bc177f243085f997f",
     }
 
     @pytest.mark.parametrize("name", sorted(SCRIPTED_EPISODES))
@@ -254,7 +256,7 @@ class TestScriptedEpisodes:
                 assert state == before
                 assert env.step(state, action) == transition
                 with pytest.raises(dataclasses.FrozenInstanceError):
-                    transition.next_state.step = 0
+                    transition.next_state.build_delay = 0.0
             state = env.step(state, scripted).next_state
         assert state.done
 
